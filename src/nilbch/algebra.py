@@ -41,6 +41,16 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def as_fraction(x) -> Fraction:
+    """x as an exact rational. A float is refused: its binary value is almost
+    never the rational that was meant (0.1 is 3602879701896397/2**55)."""
+    if isinstance(x, float):
+        raise ValueError(
+            f"float {x!r} in exact arithmetic; use an int, a Fraction or a string"
+        )
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class AlgebraContext:
     """Generator count, truncation step, and display symbols for one algebra."""
@@ -336,8 +346,8 @@ class LieElement:
                 raise GradingError(
                     f"{tree_str(t, ctx.symbols)} is not a basis tree at step {ctx.step}"
                 )
-            if isinstance(c, (int, str)):
-                c = Fraction(c)
+            if isinstance(c, (int, float, str)):
+                c = as_fraction(c)
             if c:
                 clean[t] = c
         self.ctx = ctx
@@ -385,8 +395,8 @@ class LieElement:
     def __mul__(self, scalar) -> "LieElement":
         if isinstance(scalar, LieElement):
             raise TypeError("use bracket() for the Lie product")
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
+        if isinstance(scalar, (int, float)):
+            scalar = as_fraction(scalar)
         if not scalar:
             return LieElement.zero(self.ctx)
         return LieElement._raw(self.ctx, {t: c * scalar for t, c in self.terms.items()})
@@ -394,7 +404,7 @@ class LieElement:
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "LieElement":
-        return self * (Fraction(1) / Fraction(scalar))
+        return self * (Fraction(1) / as_fraction(scalar))
 
     def bracket(self, other: "LieElement") -> "LieElement":
         if not isinstance(other, LieElement):

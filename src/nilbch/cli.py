@@ -2,7 +2,7 @@
 
 All results go to stdout (and, verbatim, to --out when given) as compact
 single-line JSON or as plain text lines; timing goes to stderr so output
-stays byte-identical across runs and thread counts for a fixed seed.
+stays byte-identical across runs for a fixed seed.
 Exit codes: 0 success, 2 validation error, 3 size cap, 4 broken invariant.
 """
 
@@ -170,7 +170,7 @@ def _cmd_extract_bracket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.step, args.trials, args.seed, args.threads)
+    report = run_suite(args.step, args.trials, args.seed)
     lines = [
         f"{c['name']}: {'pass' if c['pass'] else 'FAIL'} ({c['count']} checks)"
         for c in report["checks"]
@@ -214,7 +214,6 @@ def _cmd_growth(args) -> int:
         mode=args.mode,
         sample_size=args.sample_size,
         seed=args.seed,
-        threads=args.threads,
         cap=args.cap,
     )
     chain = compute_B_chain(ball, n, cap=args.cap)
@@ -262,7 +261,6 @@ def _cmd_growth(args) -> int:
             mode=args.mode,
             sample_size=args.sample_size,
             seed=args.seed,
-            threads=args.threads,
             cap=args.cap,
         )
         payload["bracket_containment"] = {
@@ -301,7 +299,9 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--threads", type=int, default=1)
+    common.add_argument(
+        "--threads", type=int, default=1, help="accepted for compatibility; no effect"
+    )
     common.add_argument("--cap", type=int, default=DEFAULT_SIZE_CAP)
     common.add_argument("--out", default=None, help="also write output to a file")
     sub = top.add_subparsers(dest="command", required=True)

@@ -7,11 +7,10 @@ bijections by construction and every rational power exists.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import words as wordmod
-from .algebra import AlgebraContext, BracketPattern, LieElement
+from .algebra import AlgebraContext, BracketPattern, LieElement, as_fraction
 from .bch import bch, conjugation_log
 from .errors import ContextMismatchError
 from .words import FormalWord, GroupOps
@@ -62,7 +61,7 @@ def inverse(g: GroupElement) -> GroupElement:
 
 def rational_power(g: GroupElement, e) -> GroupElement:
     """g**e for any rational e; integer exponents agree with repeated mul."""
-    return GroupElement(g.log * Fraction(e))
+    return GroupElement(g.log * as_fraction(e))
 
 
 def conjugate(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -5,15 +5,15 @@ breadth-first search, product sets and log-set sumsets are literal, and the
 containment checks assert the identities that the word synthesis and the
 containment certificates promise. Iteration is always over canonically
 sorted elements (row-major entry order), so reports are deterministic and
-independent of set-hash order and thread count.
+independent of set-hash order.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
@@ -165,47 +165,51 @@ def product_set(
     )
 
 
+def _powers(a: FiniteGroupSet, cap: int):
+    """Yield (A^p, the elements of A^p in no earlier power) for p = 1, 2, ...
+
+    When the identity belongs to A the powers are nested, so each step only
+    multiplies the previous step's new elements by A; otherwise A^p is the
+    literal product A^(p-1) A. Either way A^p is the literal power set.
+    """
+    nested = mat_identity(a.dim) in a.elements
+    power, new = a, a.elements
+    seen = set(new)
+    p = 1
+    while True:
+        yield power, new
+        p += 1
+        if nested:
+            nxt = set()
+            for x in new:
+                for y in a.elements:
+                    h = mat_mul(x, y)
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.add(h)
+            _check_cap("product set", len(seen), cap)
+            new = nxt
+            elements = frozenset(seen)
+        else:
+            elements = product_set(power, a, cap=cap).elements
+            new = elements - seen
+            seen |= new
+        power = FiniteGroupSet(a.dim, elements, f"({a.provenance})^{p}", a.symmetric)
+
+
 def power_set(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroupSet:
-    if k < 1:
-        raise ValueError("power must be at least 1")
     return powers_up_to(a, k, cap=cap)[-1]
 
 
 def powers_up_to(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[FiniteGroupSet]:
-    """The power sets A^1..A^k, computed incrementally.
-
-    When the identity belongs to A the powers are nested, so each step only
-    needs products of the previous new elements; the result set is identical
-    to the literal product either way.
-    """
+    """The power sets A^1..A^k, computed incrementally."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    out = [a]
-    incremental = mat_identity(a.dim) in a.elements
-    frontier = set(a.elements)
-    for p in range(2, k + 1):
-        if incremental:
-            cur = set(out[-1].elements)
-            nxt = set()
-            for x in frontier:
-                for y in a.elements:
-                    h = mat_mul(x, y)
-                    if h not in cur:
-                        cur.add(h)
-                        nxt.add(h)
-            _check_cap("product set", len(cur), cap)
-            frontier = nxt
-            elements = frozenset(cur)
-        else:
-            elements = product_set(out[-1], a, cap=cap).elements
-        out.append(
-            FiniteGroupSet(a.dim, elements, f"({a.provenance})^{p}", a.symmetric)
-        )
-    return out
+    return [power for power, _ in islice(_powers(a, cap), k)]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
@@ -268,53 +272,16 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
     return CoverReport(len(a), len(aa), len(translates), tuple(translates))
 
 
-def _min_power_index(powers: list[FiniteGroupSet]) -> dict:
-    """Map each log of an element of A^p to the least such p."""
-    out: dict = {}
-    seen: set = set()
-    for p, s in enumerate(powers, start=1):
-        for g in s.elements:
-            if g not in seen:
-                seen.add(g)
-                out.setdefault(mat_log(g), p)
-    return out
-
-
-def _find_min_powers(
-    a: FiniteGroupSet, targets, bound: int, cap: int
-) -> dict:
-    """Least p <= bound with target in log(A^p), growing the powers lazily
-    and stopping as soon as every target is accounted for."""
+def _find_min_powers(powers, targets, bound: int) -> dict:
+    """Least p <= bound with target in log(A^p), reading the (A^p, new)
+    pairs of `powers` lazily and stopping once every target is found."""
     remaining = set(targets)
     found: dict = {}
-    incremental = mat_identity(a.dim) in a.elements
-    seen: set = set()
-    current = set(a.elements)
-    frontier = set(a.elements)
     for p in range(1, bound + 1):
         if not remaining:
             break
-        if p == 1:
-            new = current
-        elif incremental:
-            new = set()
-            for x in frontier:
-                for y in a.elements:
-                    h = mat_mul(x, y)
-                    if h not in current:
-                        current.add(h)
-                        new.add(h)
-            _check_cap("product set", len(current), cap)
-            frontier = new
-        else:
-            current = product_set(
-                FiniteGroupSet(a.dim, frozenset(current), "power"), a, cap=cap
-            ).elements
-            new = current - seen
+        _, new = next(powers)
         for g in new:
-            if g in seen:
-                continue
-            seen.add(g)
             x = mat_log(g)
             if x in remaining:
                 found[x] = p
@@ -331,7 +298,6 @@ def check_sum_containment(
     mode: str = "exhaustive",
     sample_size: int = 50,
     seed: int = 7,
-    threads: int = 1,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> SumContainmentReport:
     """Verify m(u + v) lands in log(A^(l * max(k1, k2))) for u, v ranging
@@ -341,11 +307,15 @@ def check_sum_containment(
     """
     if a.dim != n + 1:
         raise ValueError(f"a step-{n} check needs dimension {n + 1}")
+    if min(k1, k2) < 1:
+        raise ValueError("power must be at least 1")
     sw = sum_word(n)
     bound = sw.length * max(k1, k2)
-    base = powers_up_to(a, max(k1, k2), cap=cap)
-    us = _sorted(log_set(base[k1 - 1]))
-    vs = _sorted(log_set(base[k2 - 1]))
+    # one pass of the powers serves both the sampled sets and the search
+    powers = _powers(a, cap)
+    base = list(islice(powers, max(k1, k2)))
+    us = _sorted(log_set(base[k1 - 1][0]))
+    vs = _sorted(log_set(base[k2 - 1][0]))
     pairs = [(u, v) for u in us for v in vs]
     if mode == "sampled":
         rng = random.Random(seed)
@@ -353,18 +323,9 @@ def check_sum_containment(
             pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), sample_size))]
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-    targets = {nil_scale(nil_add(u, v), sw.m) for u, v in pairs}
-    min_power = _find_min_powers(a, targets, bound, cap)
-
-    def probe(pair):
-        u, v = pair
-        return min_power.get(nil_scale(nil_add(u, v), sw.m))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            found = list(pool.map(probe, pairs))
-    else:
-        found = [probe(p) for p in pairs]
+    targets = [nil_scale(nil_add(u, v), sw.m) for u, v in pairs]
+    min_power = _find_min_powers(chain(base, powers), targets, bound)
+    found = [min_power.get(t) for t in targets]
     failures = sum(1 for p in found if p is None)
     max_witness = max((p for p in found if p is not None), default=0)
     return SumContainmentReport(
@@ -420,7 +381,6 @@ def check_commutator_containment(
     mode: str = "exhaustive",
     sample_size: int = 50,
     seed: int = 7,
-    threads: int = 1,
     cap: int = DEFAULT_SIZE_CAP,
 ) -> BracketContainmentReport:
     """Search the certificate sumset for every element of B_j.
@@ -451,15 +411,7 @@ def check_commutator_containment(
             ]
     elif mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
-
-    def probe(x):
-        return x, _witness_search(x, term_sets, 0)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(probe, targets))
-    else:
-        results = [probe(x) for x in targets]
+    results = [(x, _witness_search(x, term_sets, 0)) for x in targets]
     failures = sum(1 for _, w in results if w is None)
     witnesses = tuple((x, w) for x, w in results if w is not None)
     return BracketContainmentReport(j, len(bj), len(targets), failures, witnesses)

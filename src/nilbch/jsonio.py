@@ -1,8 +1,8 @@
 """JSON forms for the exact types: rationals as strings, never floats.
 
 Lie elements serialize as objects mapping canonical bracket-tree strings to
-rational strings, matrices as {"dim": d, "rows": [["p/q", ...], ...]}, and
-pattern tables as lists of {"pattern": [indices], "coefficient": "p/q"}.
+rational strings, and pattern tables as lists of
+{"pattern": [indices], "coefficient": "p/q"}.
 Keys are emitted in canonical basis order so output is byte-stable.
 """
 
@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraContext, LieElement, parse_tree, tree_str
-from .matrices import NilpotentMatrix, UnipotentMatrix
+from .algebra import AlgebraContext, LieElement, as_fraction, parse_tree, tree_str
 
 
 def rational_str(q) -> str:
@@ -20,8 +19,8 @@ def rational_str(q) -> str:
 
 def parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
+        return as_fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ValueError(f"invalid rational {text!r}") from e
 
 
@@ -42,36 +41,6 @@ def lie_from_json(obj: dict, ctx: AlgebraContext) -> LieElement:
         c = parse_rational(val)
         total = total + LieElement(ctx, {tree: c})
     return total
-
-
-def matrix_to_json(m) -> dict:
-    return {
-        "dim": m.dim,
-        "rows": [[rational_str(x) for x in row] for row in m.rows],
-    }
-
-
-def _rows_from_json(obj) -> tuple:
-    if not isinstance(obj, dict) or "dim" not in obj or "rows" not in obj:
-        raise ValueError('a matrix must be an object with "dim" and "rows"')
-    d = obj["dim"]
-    rows = obj["rows"]
-    if not isinstance(rows, list) or len(rows) != d:
-        raise ValueError(f"expected {d} rows")
-    out = []
-    for row in rows:
-        if not isinstance(row, list) or len(row) != d:
-            raise ValueError(f"expected rows of length {d}")
-        out.append(tuple(parse_rational(x) for x in row))
-    return tuple(out)
-
-
-def nilpotent_from_json(obj) -> NilpotentMatrix:
-    return NilpotentMatrix(_rows_from_json(obj))
-
-
-def unipotent_from_json(obj) -> UnipotentMatrix:
-    return UnipotentMatrix(_rows_from_json(obj))
 
 
 def table_to_json(entries) -> list:

@@ -14,14 +14,14 @@ from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
-from .algebra import AlgebraContext, LieElement, tree_degree
+from .algebra import AlgebraContext, LieElement, as_fraction, tree_degree
 from .errors import GradingError
 
 Rows = tuple[tuple[Fraction, ...], ...]
 
 
 def _as_rows(rows) -> Rows:
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
     d = len(out)
     if any(len(row) != d for row in out):
         raise ValueError("matrix must be square")
@@ -157,7 +157,7 @@ def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
 
 
 def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
-    return NilpotentMatrix(_scale_rows(a.rows, Fraction(c)))
+    return NilpotentMatrix(_scale_rows(a.rows, as_fraction(c)))
 
 
 def nil_bracket(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:

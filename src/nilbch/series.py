@@ -4,34 +4,33 @@ A series is a dict mapping words (tuples of 0-based letter indices) to nonzero
 coefficients; the empty tuple keys the constant term. Every operation
 truncates at a fixed total degree. Coefficients may be any exact commutative
 ring scalars supporting +, *, unary -, and truthiness (Fraction, QPoly).
-
-The multiplication kernel has a compiled and a pure-Python implementation
-with identical semantics; the compiled one is preferred when present, and
-setting NILBCH_PURE=1 in the environment forces the pure twin.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-if os.environ.get("NILBCH_PURE"):
-    from ._series_py import mul_trunc
-
-    BACKEND = "pure"
-else:
-    try:
-        from ._series import mul_trunc  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from ._series_py import mul_trunc  # type: ignore[no-redef]
-
-        BACKEND = "pure"
+# one kernel only; kept because perfbench records it in each result
+BACKEND = "pure"
 
 EMPTY_WORD: tuple[int, ...] = ()
 
 _ONE = Fraction(1)
+
+
+def mul_trunc(p: dict, q: dict, step: int) -> dict:
+    """Concatenation product of two series, dropping words longer than step."""
+    out: dict = {}
+    get = out.get
+    for w1, c1 in p.items():
+        room = step - len(w1)
+        for w2, c2 in q.items():
+            if len(w2) > room:
+                continue
+            w = w1 + w2
+            prev = get(w)
+            out[w] = c1 * c2 if prev is None else prev + c1 * c2
+    return {w: c for w, c in out.items() if c}
 
 
 def one() -> dict:

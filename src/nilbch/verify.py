@@ -1,13 +1,12 @@
 """Seeded identity suite: re-derive key results against independent oracles.
 
-Each check generates its inputs up front from its own sub-seed, then maps a
-pure verifier over them, so reports are byte-identical for a fixed seed and
-step regardless of thread count.
+Each check generates its inputs up front from its own sub-seed, then runs a
+pure verifier on each, so reports are byte-identical for a fixed seed and
+step.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
 from random import Random
@@ -55,14 +54,7 @@ def random_lie(ctx: AlgebraContext, rng: Random) -> LieElement:
     return LieElement(ctx, terms)
 
 
-def _map(fn, items, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def _check_bch_matrix(step: int, trials: int, seed: int, threads: int) -> dict:
+def _check_bch_matrix(step: int, trials: int, seed: int) -> dict:
     """bch on two generators against the matrix logarithm in UT(step + 1)."""
     ctx = AlgebraContext(2, step)
     z = bch(ctx.generator(0), ctx.generator(1))
@@ -78,11 +70,11 @@ def _check_bch_matrix(step: int, trials: int, seed: int, threads: int) -> dict:
         direct = mat_log(mat_mul(mat_exp(x), mat_exp(y)))
         return substitute(z, [x, y]) == direct
 
-    results = _map(ok, pairs, threads)
+    results = [ok(x) for x in pairs]
     return {"name": "bch-matrix-oracle", "count": len(results), "pass": all(results)}
 
 
-def _check_associativity(step: int, trials: int, seed: int, threads: int) -> dict:
+def _check_associativity(step: int, trials: int, seed: int) -> dict:
     """bch(bch(a, b), c) == bch(a, bch(b, c)) on random elements."""
     ctx = AlgebraContext(2, step)
     rng = Random(f"{seed}:assoc:{step}")
@@ -95,7 +87,7 @@ def _check_associativity(step: int, trials: int, seed: int, threads: int) -> dic
         a, b, c = triple
         return bch(bch(a, b), c) == bch(a, bch(b, c))
 
-    results = _map(ok, triples, threads)
+    results = [ok(x) for x in triples]
     return {"name": "bch-associativity", "count": len(results), "pass": all(results)}
 
 
@@ -111,7 +103,7 @@ def _tail_patterns(step: int, seed: int):
                 yield pool[i]
 
 
-def _check_tails(step: int, trials: int, seed: int, threads: int) -> dict:
+def _check_tails(step: int, trials: int, seed: int) -> dict:
     """Commutator logs match their bracket plus the returned tail tables."""
     ctx = AlgebraContext(2, step)
     gens = ctx.generators()
@@ -126,11 +118,11 @@ def _check_tails(step: int, trials: int, seed: int, threads: int) -> dict:
                 total = total + eval_bracket_pattern(alpha, gens) * c
         return group.nested_commutator(pattern, group_gens).log == total
 
-    results = _map(ok, todo, threads)
+    results = [ok(x) for x in todo]
     return {"name": "commutator-tails", "count": len(results), "pass": all(results)}
 
 
-def _check_sum_word(step: int, trials: int, seed: int, threads: int) -> dict:
+def _check_sum_word(step: int, trials: int, seed: int) -> dict:
     """The two-letter sum word hits exp(m(log a + log b)) on matrix pairs."""
     sw = sum_word(step)
     if not verify_synthesis(sw.synthesis):
@@ -149,11 +141,11 @@ def _check_sum_word(step: int, trials: int, seed: int, threads: int) -> dict:
         want = mat_exp(nil_scale(nil_add(mat_log(a), mat_log(b)), sw.m))
         return evaluate_word(word, {"a": a, "b": b}, ops) == want
 
-    results = _map(ok, pairs, threads)
+    results = [ok(x) for x in pairs]
     return {"name": "sum-word", "count": len(results) + 1, "pass": all(results)}
 
 
-def _check_extraction(step: int, trials: int, seed: int, threads: int) -> dict:
+def _check_extraction(step: int, trials: int, seed: int) -> dict:
     """Vandermonde bracket extraction against the direct Lie bracket."""
     if step < 2:
         return {"name": "bracket-extraction", "count": 0, "pass": True}
@@ -168,7 +160,7 @@ def _check_extraction(step: int, trials: int, seed: int, threads: int) -> dict:
         got = extract_bracket(group.exp(x), group.exp(y))
         return got == x.bracket(y)
 
-    results = _map(ok, pairs, threads)
+    results = [ok(x) for x in pairs]
     return {
         "name": "bracket-extraction",
         "count": len(results),
@@ -185,13 +177,13 @@ _CHECKS = (
 )
 
 
-def run_suite(step: int, trials: int, seed: int, threads: int = 1) -> dict:
+def run_suite(step: int, trials: int, seed: int) -> dict:
     """Run every check and report counts plus a global verdict."""
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    checks = [fn(step, trials, seed, threads) for fn in _CHECKS]
+    checks = [fn(step, trials, seed) for fn in _CHECKS]
     return {
         "step": step,
         "trials": trials,

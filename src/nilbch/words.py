@@ -235,11 +235,6 @@ def parse(text: str) -> FormalWord:
     return word
 
 
-# grammar-facing names
-parse_word = parse
-serialize_word = serialize
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -22,6 +22,9 @@ from nilbch.algebra import (
     tree_str,
 )
 from nilbch.errors import ContextMismatchError, GradingError
+from nilbch.group import exp, rational_power
+from nilbch.matrices import NilpotentMatrix, nil_scale, nil_zero
+from nilbch.qpoly import T
 
 
 def mobius(n: int) -> int:
@@ -137,6 +140,28 @@ def test_scalar_arithmetic():
     assert z.coordinates(1) == [Fraction(3, 2), Fraction(-1, 2)]
     assert (z - z).is_zero
     assert (-z) + z == LieElement.zero(ctx)
+    assert LieElement(ctx, {0: T}).terms == {0: T}
+    assert (x * T).terms == {0: T}
+
+
+X = AlgebraContext(2, 2).generator(0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LieElement(X.ctx, {0: 0.1}),
+        lambda: X * 0.5,
+        lambda: X / 0.5,
+        lambda: NilpotentMatrix(((0, 0.1), (0, 0))),
+        lambda: rational_power(exp(X), 0.5),
+        lambda: nil_scale(nil_zero(2), 0.5),
+    ],
+    ids=["LieElement", "mul", "div", "matrix", "rational_power", "nil_scale"],
+)
+def test_floats_never_enter_exact_types(make):
+    with pytest.raises(ValueError, match="float"):
+        make()
 
 
 def test_context_mismatch_rejected():

@@ -144,6 +144,13 @@ def test_extract_bracket_bad_stdin():
     assert json.loads(err)["error"] == "json"
     code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text="{not json")
     assert code == 2
+    # coefficients are rational strings: a JSON number with a fraction part
+    # or a list is refused, not converted
+    for bad in ("0.1", "1e400", "[1]"):
+        stdin_text = '[{"x1":%s},{"x2":"1"}]' % bad
+        code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text=stdin_text)
+        assert code == 2
+        assert json.loads(err)["error"] == "validation"
 
 
 def test_verify_identities_small():

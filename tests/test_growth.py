@@ -7,6 +7,7 @@ import pytest
 from nilbch.algebra import AlgebraContext
 from nilbch.errors import SizeCapError
 from nilbch.growth import (
+    FiniteGroupSet,
     check_commutator_containment,
     check_sum_containment,
     compute_B_chain,
@@ -24,6 +25,7 @@ from nilbch.growth import (
 from nilbch.identities import containment_certificate
 from nilbch.matrices import (
     mat_identity,
+    mat_log,
     mat_mul,
     nil_add,
     nil_scale,
@@ -33,6 +35,35 @@ from nilbch.matrices import (
 
 def heisenberg_ball(radius: int):
     return generate_ball(3, ut_generators(3), radius)
+
+
+def heisenberg_generators():
+    """The generators of UT(3, Z) and their inverses without the identity, so
+    the powers are not nested."""
+    return FiniteGroupSet(3, frozenset(ut_generators(3)), "gens", symmetric=True)
+
+
+# a set with the identity and one without: the two branches of the powers
+SETS = {"ball": lambda: heisenberg_ball(1), "generators": heisenberg_generators}
+
+
+def literal_powers(a, k: int) -> list:
+    out = [a]
+    for _ in range(k - 1):
+        out.append(product_set(out[-1], a))
+    return out
+
+
+def min_power_index(powers) -> dict:
+    """Map each log of an element of A^p to the least such p."""
+    out: dict = {}
+    seen: set = set()
+    for p, s in enumerate(powers, start=1):
+        for g in s.elements:
+            if g not in seen:
+                seen.add(g)
+                out.setdefault(mat_log(g), p)
+    return out
 
 
 def test_ut_generators_symmetric():
@@ -68,14 +99,17 @@ def test_product_set_is_square():
 
 
 def test_powers_monotone_and_match_literal_products():
-    a = heisenberg_ball(1)
-    powers = powers_up_to(a, 5)
-    assert [len(p) for p in powers] == [5, 17, 53, 135, 299]
-    literal = a
-    for k in range(1, 5):
-        literal = product_set(literal, a)
-        assert powers[k].elements == literal.elements
-    assert power_set(a, 3).elements == powers[2].elements
+    for name, sizes in (
+        ("ball", [5, 17, 53, 135, 299]),
+        ("generators", [4, 13, 40, 95, 204]),
+    ):
+        a = SETS[name]()
+        powers = powers_up_to(a, 5)
+        assert [len(p) for p in powers] == sizes
+        assert [p.elements for p in powers] == [
+            p.elements for p in literal_powers(a, 5)
+        ]
+        assert power_set(a, 3).elements == powers[2].elements
 
 
 def test_inverse_set_of_symmetric_ball_is_itself():
@@ -135,16 +169,28 @@ def test_sum_containment_sampled_subset():
     assert full.bound_power == sampled.bound_power
 
 
-def test_sum_containment_thread_invariance():
-    a = heisenberg_ball(1)
-    assert check_sum_containment(a, 1, 1, 2, threads=4) == check_sum_containment(
-        a, 1, 1, 2
-    )
+@pytest.mark.parametrize("name", sorted(SETS))
+@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1)])
+def test_sum_containment_min_powers_match_brute_force(name, k1, k2):
+    a = SETS[name]()
+    report = check_sum_containment(a, k1, k2, 2)
+    assert report.failures == 0
+    powers = literal_powers(a, max(k1, k2, report.max_witness_power))
+    index = min_power_index(powers[: report.max_witness_power])
+    us, vs = log_set(powers[k1 - 1]), log_set(powers[k2 - 1])
+    found = [index.get(nil_scale(nil_add(u, v), report.m)) for u in us for v in vs]
+    assert report.checked_pairs == len(found)
+    # every target lies in log(A^p) for some p <= the reported maximum, and
+    # the largest of the least such p is that maximum
+    assert None not in found
+    assert max(found) == report.max_witness_power
 
 
 def test_sum_containment_dimension_guard():
     with pytest.raises(ValueError):
         check_sum_containment(heisenberg_ball(1), 1, 1, 3)
+    with pytest.raises(ValueError):
+        check_sum_containment(heisenberg_ball(1), 0, 1, 2)
 
 
 def test_b_chain_heisenberg():
@@ -184,14 +230,6 @@ def test_commutator_containment_trivial_level():
     cert = containment_certificate(2, AlgebraContext(2, 2))
     report = check_commutator_containment(a, 2, cert)
     assert report.failures == 0
-
-
-def test_commutator_containment_thread_invariance():
-    a = heisenberg_ball(1)
-    cert = containment_certificate(1, AlgebraContext(2, 2))
-    r1 = check_commutator_containment(a, 1, cert)
-    r4 = check_commutator_containment(a, 1, cert, threads=4)
-    assert r1 == r4
 
 
 def test_size_cap_trips():

@@ -1,15 +1,10 @@
-"""Truncated series kernel: backend twins, exp/log ladders, truncation."""
+"""Truncated series kernel: exp/log ladders, truncation."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from nilbch import _series_py
-from nilbch.qpoly import QPoly, T
 from nilbch.series import (
     BACKEND,
     EMPTY_WORD,
@@ -22,18 +17,9 @@ from nilbch.series import (
     sub,
 )
 
-try:
-    from nilbch import _series
 
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
-
-
-def random_series(rng: Random, letters: int, step: int, constant=False) -> dict:
+def random_series(rng: Random, letters: int, step: int) -> dict:
     out = {}
-    if constant:
-        out[EMPTY_WORD] = Fraction(1)
     for _ in range(30):
         d = rng.randint(1, step)
         w = tuple(rng.randrange(letters) for _ in range(d))
@@ -44,26 +30,7 @@ def random_series(rng: Random, letters: int, step: int, constant=False) -> dict:
 
 
 def test_backend_is_reported():
-    assert BACKEND in ("compiled", "pure")
-
-
-def test_kernel_twins_agree_on_fractions():
-    if not HAVE_COMPILED:
-        pytest.skip("compiled kernel not built")
-    rng = Random("series:twins")
-    for _ in range(25):
-        p = random_series(rng, 3, 5, constant=bool(rng.getrandbits(1)))
-        q = random_series(rng, 3, 5, constant=bool(rng.getrandbits(1)))
-        step = rng.randint(1, 5)
-        assert _series.mul_trunc(p, q, step) == _series_py.mul_trunc(p, q, step)
-
-
-def test_kernel_twins_agree_on_polynomials():
-    if not HAVE_COMPILED:
-        pytest.skip("compiled kernel not built")
-    p = {(0,): T, (1,): T * T - 1}
-    q = {(0, 1): T + 2, EMPTY_WORD: QPoly.constant(1)}
-    assert _series.mul_trunc(p, q, 3) == _series_py.mul_trunc(p, q, 3)
+    assert BACKEND == "pure"
 
 
 def test_mul_truncates_high_degrees():
@@ -95,11 +62,3 @@ def test_exp_requires_zero_constant_term():
     with pytest.raises(ValueError):
         log_truncated({(0,): Fraction(1)}, 3)
 
-
-def test_pure_override_env(tmp_path):
-    code = "import nilbch.series as s; print(s.BACKEND)"
-    env = dict(os.environ, NILBCH_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.stdout.strip() == "pure"
