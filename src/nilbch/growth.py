@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, islice
+from operator import attrgetter
 
 from .errors import InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
@@ -48,7 +48,7 @@ class FiniteGroupSet:
         return len(self.elements)
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=lambda m: m.rows))
+        return iter(_sorted(self.elements))
 
     def __contains__(self, m) -> bool:
         return m in self.elements
@@ -94,7 +94,8 @@ class BracketContainmentReport:
 
 
 def _sorted(elements):
-    return sorted(elements, key=lambda m: m.rows)
+    # the triangle sorts as the full rows do: the diagonal and below are constant
+    return sorted(elements, key=attrgetter("tri"))
 
 
 def _check_cap(what: str, size: int, cap: int):
@@ -108,13 +109,9 @@ def ut_generators(d: int) -> list[UnipotentMatrix]:
         raise ValueError("need dimension at least 2")
     out = []
     for i in range(d - 1):
-        rows = [
-            [Fraction(int(r == c)) for c in range(d)] for r in range(d)
-        ]
-        rows[i][i + 1] = Fraction(1)
-        g = UnipotentMatrix(tuple(tuple(row) for row in rows))
-        out.append(g)
-        out.append(mat_inverse(g))
+        rows = [[int(c == r or (r, c) == (i, i + 1)) for c in range(d)] for r in range(d)]
+        g = UnipotentMatrix(rows)
+        out += [g, mat_inverse(g)]
     return out
 
 
@@ -238,7 +235,6 @@ def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
 
 
 def scale_set(s, q) -> frozenset:
-    q = Fraction(q)
     return frozenset(nil_scale(x, q) for x in s)
 
 

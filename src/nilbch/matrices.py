@@ -5,169 +5,191 @@ are finite sums, and substituting strictly upper-triangular d x d matrices
 for the generators of a step-(d-1) algebra is exact because products of d or
 more such matrices vanish. The substitution homomorphism doubles as an
 independent check on every symbolic identity in the package.
+
+Both types store only the d(d-1)/2 entries above the diagonal, row by row
+(the triangle): N for a nilpotent N and for a unipotent I + N. One product
+over i < k < j and one truncated power series carry the whole group law;
+`.rows` rebuilds the full d x d form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
+from operator import add
 from typing import Sequence
 
-from .algebra import AlgebraContext, LieElement, as_fraction, tree_degree
+from .algebra import LieElement, as_fraction
 from .errors import GradingError
 
 Rows = tuple[tuple[Fraction, ...], ...]
+Tri = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
-def _as_rows(rows) -> Rows:
-    out = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-    d = len(out)
-    if any(len(row) != d for row in out):
-        raise ValueError("matrix must be square")
-    return out
+def _zeros(d: int) -> Tri:
+    return (_ZERO,) * (d * (d - 1) // 2)
 
 
-@dataclass(frozen=True)
-class NilpotentMatrix:
+@dataclass(frozen=True, init=False)
+class _Triangular:
+    """A d x d upper-triangular matrix with constant diagonal, stored as its
+    triangle. The constructor checks rows given from outside; results
+    computed here are built by `_raw` and skip that check."""
+
+    dim: int
+    tri: Tri
+
+    def __init__(self, rows):
+        rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        d = len(rows)
+        if any(len(row) != d for row in rows):
+            raise ValueError("matrix must be square")
+        tri = tuple(x for i, row in enumerate(rows) for x in row[i + 1 :])
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "tri", tri)
+        if self.rows != rows:  # the triangle alone must give back every entry
+            raise ValueError(f"diagonal must be {self._DIAGONAL} and entries below it 0")
+
+    @classmethod
+    def _raw(cls, dim: int, tri: Tri):
+        m = object.__new__(cls)
+        object.__setattr__(m, "dim", dim)
+        object.__setattr__(m, "tri", tri)
+        return m
+
+    @property
+    def rows(self) -> Rows:
+        d, tri = self.dim, self.tri
+        diagonal = (Fraction(self._DIAGONAL),)
+        out, t = [], 0
+        for i in range(d):
+            width = d - 1 - i
+            out.append((_ZERO,) * i + diagonal + tri[t : t + width])
+            t += width
+        return tuple(out)
+
+
+class NilpotentMatrix(_Triangular):
     """Strictly upper-triangular square matrix."""
 
-    rows: Rows
-
-    def __post_init__(self):
-        rows = _as_rows(self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if j <= i and x:
-                    raise ValueError(f"entry ({i},{j}) must be zero below the diagonal")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    _DIAGONAL = 0
 
 
-@dataclass(frozen=True)
-class UnipotentMatrix:
+class UnipotentMatrix(_Triangular):
     """Upper-triangular square matrix with unit diagonal."""
 
-    rows: Rows
-
-    def __post_init__(self):
-        rows = _as_rows(self.rows)
-        object.__setattr__(self, "rows", rows)
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if j < i and x:
-                    raise ValueError(f"entry ({i},{j}) must be zero below the diagonal")
-                if j == i and x != 1:
-                    raise ValueError(f"diagonal entry ({i},{i}) must be 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    _DIAGONAL = 1
 
 
-def _mul_rows(a: Rows, b: Rows) -> Rows:
-    n = len(a)
-    bt = tuple(zip(*b))
+@cache
+def _pairs(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each triangle position (i, j), row by row, the positions of
+    (i, k) and (k, j) in the triangle for every i < k < j."""
+    index = {}
+    for i in range(d):
+        for j in range(i + 1, d):
+            index[i, j] = len(index)
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple((index[i, k], index[k, j]) for k in range(i + 1, j)) for i, j in index
     )
 
 
-def _add_rows(a: Rows, b: Rows) -> Rows:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
-def _scale_rows(a: Rows, c) -> Rows:
-    return tuple(tuple(x * c for x in row) for row in a)
-
-
-def _identity_rows(d: int) -> Rows:
+def _tri_mul(d: int, x: Tri, y: Tri, base: Tri) -> Tri:
+    """Triangle of base + x y for strictly upper-triangular x and y: entry
+    (i, j) is base_ij plus the sum of x_ik y_kj over i < k < j."""
     return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(d)) for i in range(d)
+        sum([x[p] * y[q] for p, q in ks], base[t]) for t, ks in enumerate(_pairs(d))
     )
 
 
-def _zero_rows(d: int) -> Rows:
-    return tuple(tuple(Fraction(0) for _ in range(d)) for _ in range(d))
+def _series(d: int, n: Tri, coeff) -> Tri:
+    """Triangle of the sum of coeff(k) N^k over 0 < k < d, the whole series
+    since N^d = 0, by Horner's rule: N (c_1 + N (c_2 + ... + N c_(d-1)))."""
+    acc = ()
+    for k in range(d - 1, 0, -1):
+        c = coeff(k)
+        term = tuple(v * c for v in n)
+        acc = _tri_mul(d, n, acc, term) if acc else term
+    return acc
+
+
+def _dim(kind: type, *ms) -> int:
+    """The dimension the arguments share. They must all be of type kind: the
+    same triangle is another matrix in the other type or at another size."""
+    d = ms[0].dim
+    for m in ms:
+        if type(m) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(m).__name__}")
+        if m.dim != d:
+            raise ValueError("matrices must share a dimension")
+    return d
 
 
 def mat_identity(d: int) -> UnipotentMatrix:
-    return UnipotentMatrix(_identity_rows(d))
+    return UnipotentMatrix._raw(d, _zeros(d))
 
 
 def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
-    return UnipotentMatrix(_mul_rows(a.rows, b.rows))
+    """(I + a)(I + b) = I + (a + b + ab) on the triangles."""
+    d, x, y = _dim(UnipotentMatrix, a, b), a.tri, b.tri
+    return UnipotentMatrix._raw(d, _tri_mul(d, x, y, tuple(map(add, x, y))))
 
 
 def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
     """Inverse by the finite Neumann series of the nilpotent part."""
-    d = a.dim
-    n = _add_rows(a.rows, _scale_rows(_identity_rows(d), -1))
-    out = _identity_rows(d)
-    term = _identity_rows(d)
-    for _ in range(1, d):
-        term = _scale_rows(_mul_rows(term, n), -1)
-        out = _add_rows(out, term)
-    return UnipotentMatrix(out)
+    d = _dim(UnipotentMatrix, a)
+    return UnipotentMatrix._raw(d, _series(d, a.tri, lambda k: (-1) ** k))
 
 
 def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
+    out = mat_identity(_dim(UnipotentMatrix, a))
     if k < 0:
-        a = mat_inverse(a)
-        k = -k
-    out = mat_identity(a.dim)
-    acc = a
+        a, k = mat_inverse(a), -k
     while k:
         if k & 1:
-            out = mat_mul(out, acc)
+            out = mat_mul(out, a)
         k >>= 1
         if k:
-            acc = mat_mul(acc, acc)
+            a = mat_mul(a, a)
     return out
 
 
 def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
     """Exponential as the finite sum of powers over factorials."""
-    d = n.dim
-    out = _identity_rows(d)
-    term = _identity_rows(d)
-    for k in range(1, d):
-        term = _mul_rows(term, n.rows)
-        out = _add_rows(out, _scale_rows(term, Fraction(1, factorial(k))))
-    return UnipotentMatrix(out)
+    d = _dim(NilpotentMatrix, n)
+    tri = _series(d, n.tri, lambda k: Fraction(1, factorial(k)))
+    return UnipotentMatrix._raw(d, tri)
 
 
 def mat_log(u: UnipotentMatrix) -> NilpotentMatrix:
     """Logarithm as the finite alternating sum of powers of (u - 1)."""
-    d = u.dim
-    n = _add_rows(u.rows, _scale_rows(_identity_rows(d), -1))
-    out = _zero_rows(d)
-    term = _identity_rows(d)
-    for k in range(1, d):
-        term = _mul_rows(term, n)
-        out = _add_rows(out, _scale_rows(term, Fraction((-1) ** (k + 1), k)))
-    return NilpotentMatrix(out)
+    d = _dim(UnipotentMatrix, u)
+    tri = _series(d, u.tri, lambda k: Fraction((-1) ** (k + 1), k))
+    return NilpotentMatrix._raw(d, tri)
 
 
 def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
-    return NilpotentMatrix(_add_rows(a.rows, b.rows))
+    d = _dim(NilpotentMatrix, a, b)
+    return NilpotentMatrix._raw(d, tuple(map(add, a.tri, b.tri)))
 
 
 def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
-    return NilpotentMatrix(_scale_rows(a.rows, as_fraction(c)))
+    d, c = _dim(NilpotentMatrix, a), as_fraction(c)
+    return NilpotentMatrix._raw(d, tuple(v * c for v in a.tri))
 
 
 def nil_bracket(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
-    return NilpotentMatrix(
-        _add_rows(_mul_rows(a.rows, b.rows), _scale_rows(_mul_rows(b.rows, a.rows), -1))
-    )
+    d, x, y = _dim(NilpotentMatrix, a, b), a.tri, b.tri
+    minus_yx = tuple(-v for v in _tri_mul(d, y, x, _zeros(d)))
+    return NilpotentMatrix._raw(d, _tri_mul(d, x, y, minus_yx))
 
 
 def nil_zero(d: int) -> NilpotentMatrix:
-    return NilpotentMatrix(_zero_rows(d))
+    return NilpotentMatrix._raw(d, _zeros(d))
 
 
 def substitute(
@@ -183,9 +205,7 @@ def substitute(
     ctx = x.ctx
     if len(mats) != ctx.num_generators:
         raise ValueError(f"need {ctx.num_generators} matrices, got {len(mats)}")
-    d = mats[0].dim
-    if any(m.dim != d for m in mats):
-        raise ValueError("matrices must share a dimension")
+    d = _dim(NilpotentMatrix, *mats)
     if strict and d != ctx.step + 1:
         raise GradingError(
             f"strict substitution needs dimension {ctx.step + 1}, got {d}"
@@ -197,39 +217,30 @@ def substitute(
 
     cache: dict = {}
 
-    def eval_tree(t) -> Rows:
+    def eval_tree(t) -> NilpotentMatrix:
         if isinstance(t, int):
-            return mats[t].rows
+            return mats[t]
         got = cache.get(t)
         if got is None:
-            a, b = eval_tree(t[0]), eval_tree(t[1])
-            got = cache[t] = _add_rows(_mul_rows(a, b), _scale_rows(_mul_rows(b, a), -1))
+            got = cache[t] = nil_bracket(eval_tree(t[0]), eval_tree(t[1]))
         return got
 
-    acc = _zero_rows(d)
+    acc = nil_zero(d)
     for t, c in x.terms.items():
-        acc = _add_rows(acc, _scale_rows(eval_tree(t), c))
-    return NilpotentMatrix(acc)
+        acc = nil_add(acc, nil_scale(eval_tree(t), c))
+    return acc
 
 
 def random_nilpotent(d: int, rng, denominators: tuple[int, ...] = (1, 2)) -> NilpotentMatrix:
     """Random strictly upper-triangular matrix with small rational entries."""
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            rows[i][j] = Fraction(rng.randint(-2, 2), rng.choice(denominators))
-    return NilpotentMatrix(tuple(tuple(row) for row in rows))
+    tri = (Fraction(rng.randint(-2, 2), rng.choice(denominators)) for _ in _zeros(d))
+    return NilpotentMatrix._raw(d, tuple(tri))
 
 
 def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
     """Random unipotent matrix with small integer entries above the diagonal."""
-    out = []
-    for i in range(d):
-        row = [Fraction(int(i == j)) for j in range(d)]
-        for j in range(i + 1, d):
-            row[j] = Fraction(rng.randint(-entry_range, entry_range))
-        out.append(tuple(row))
-    return UnipotentMatrix(tuple(out))
+    tri = (Fraction(rng.randint(-entry_range, entry_range)) for _ in _zeros(d))
+    return UnipotentMatrix._raw(d, tuple(tri))
 
 
 def matrix_group_ops(d: int):

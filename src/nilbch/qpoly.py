@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from .algebra import as_fraction
+
 _ZERO = Fraction(0)
 
 
@@ -27,7 +29,7 @@ class QPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.coeffs = _trim(tuple(Fraction(c) for c in coeffs))
+        self.coeffs = _trim(tuple(as_fraction(c) for c in coeffs))
 
     @classmethod
     def _raw(cls, coeffs: tuple[Fraction, ...]) -> "QPoly":
@@ -37,7 +39,7 @@ class QPoly:
 
     @classmethod
     def constant(cls, c) -> "QPoly":
-        return cls._raw((Fraction(c),))
+        return cls._raw((as_fraction(c),))
 
     @property
     def degree(self) -> int:

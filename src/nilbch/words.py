@@ -241,8 +241,9 @@ def parse(text: str) -> FormalWord:
 class GroupOps:
     """The operations needed to evaluate a word in some group realization.
 
-    power and commutator default to square-and-multiply and the literal
-    g h g' h' chain; realizations with exact shortcuts may pass overrides.
+    power(g, k) is the realization's own integer power. commutator defaults
+    to the literal g h g' h' chain; a realization with an exact shortcut may
+    pass its own.
     """
 
     __slots__ = ("identity", "mul", "inverse", "_power", "_commutator")
@@ -252,7 +253,7 @@ class GroupOps:
         identity,
         mul: Callable,
         inverse: Callable,
-        power: Callable | None = None,
+        power: Callable,
         commutator: Callable | None = None,
     ):
         self.identity = identity
@@ -262,20 +263,7 @@ class GroupOps:
         self._commutator = commutator
 
     def power(self, g, k: int):
-        if self._power is not None:
-            return self._power(g, k)
-        if k < 0:
-            g = self.inverse(g)
-            k = -k
-        out = self.identity
-        acc = g
-        while k:
-            if k & 1:
-                out = self.mul(out, acc)
-            k >>= 1
-            if k:
-                acc = self.mul(acc, acc)
-        return out
+        return self._power(g, k)
 
     def commutator(self, g, h):
         if self._commutator is not None:

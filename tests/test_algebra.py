@@ -23,8 +23,9 @@ from nilbch.algebra import (
 )
 from nilbch.errors import ContextMismatchError, GradingError
 from nilbch.group import exp, rational_power
+from nilbch.growth import scale_set
 from nilbch.matrices import NilpotentMatrix, nil_scale, nil_zero
-from nilbch.qpoly import T
+from nilbch.qpoly import QPoly, T
 
 
 def mobius(n: int) -> int:
@@ -156,8 +157,21 @@ X = AlgebraContext(2, 2).generator(0)
         lambda: NilpotentMatrix(((0, 0.1), (0, 0))),
         lambda: rational_power(exp(X), 0.5),
         lambda: nil_scale(nil_zero(2), 0.5),
+        lambda: scale_set({nil_zero(2)}, 0.5),
+        lambda: QPoly([0.1]),
+        lambda: QPoly.constant(0.5),
     ],
-    ids=["LieElement", "mul", "div", "matrix", "rational_power", "nil_scale"],
+    ids=[
+        "LieElement",
+        "mul",
+        "div",
+        "matrix",
+        "rational_power",
+        "nil_scale",
+        "scale_set",
+        "QPoly",
+        "QPoly.constant",
+    ],
 )
 def test_floats_never_enter_exact_types(make):
     with pytest.raises(ValueError, match="float"):
