@@ -1,10 +1,18 @@
 """Truncated Baker-Campbell-Hausdorff composition and its degree tables.
 
-The composition is computed in the truncated free associative algebra:
-embed both Lie elements, multiply their exponentials, take the logarithm,
-and project each homogeneous component back to the Lie algebra with the
-Dynkin idempotent (right-normed bracketing of every word, divided by the
-degree). All arithmetic is exact.
+The free Lie algebra on two letters maps onto every truncated Lie algebra by
+sending its letters to any two elements x, y. So one table per step, the
+coordinates of bch(x1, x2) - x1 - x2 over right-normed two-letter patterns,
+gives the law in every context: bch(x, y) is x + y plus each pattern
+evaluated at (x, y) times its coefficient. The table is built once per step,
+from the series route, and kept for the life of the process.
+
+The series route computes the composition in the truncated free associative
+algebra: embed both Lie elements, multiply their exponentials, take the
+logarithm, and project each homogeneous component back to the Lie algebra
+with the Dynkin idempotent (right-normed bracketing of every word, divided by
+the degree). It builds the tables and serves as the oracle for the table
+route. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -69,8 +77,8 @@ def assoc_to_lie(ctx: AlgebraContext, p: dict) -> LieElement:
     return LieElement._raw(ctx, terms)
 
 
-def bch(x: LieElement, y: LieElement) -> LieElement:
-    """log of exp(x) exp(y), truncated at the context step."""
+def _bch_series(x: LieElement, y: LieElement) -> LieElement:
+    """log of exp(x) exp(y) through the free associative algebra."""
     if x.ctx != y.ctx:
         raise ContextMismatchError(f"cannot compose elements of {x.ctx} and {y.ctx}")
     step = x.ctx.step
@@ -82,6 +90,54 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     ey = series.exp_truncated(lie_to_assoc(y), step)
     z = series.log_truncated(series.mul_trunc(ex, ey, step), step)
     return assoc_to_lie(x.ctx, z)
+
+
+_LAW: dict = {}
+
+
+def _law_table(step: int) -> tuple:
+    """(pattern, coefficient) pairs of bch(x1, x2) - x1 - x2 on two letters,
+    ordered by degree and then pattern. Built by the series route, as bch
+    itself reads this table."""
+    got = _LAW.get(step)
+    if got is None:
+        ctx = AlgebraContext(2, step)
+        x, y = ctx.generators()
+        defect = _bch_series(x, y) - x - y
+        got = _LAW[step] = tuple(
+            entry
+            for j in range(2, step + 1)
+            for entry in sorted(rightnormed_decomposition(defect, j).items())
+        )
+    return got
+
+
+def bch(x: LieElement, y: LieElement) -> LieElement:
+    """log of exp(x) exp(y), truncated at the context step: x + y plus the
+    step's law table evaluated at (x, y)."""
+    if x.ctx != y.ctx:
+        raise ContextMismatchError(f"cannot compose elements of {x.ctx} and {y.ctx}")
+    if x.is_zero:
+        return y
+    if y.is_zero:
+        return x
+    step = x.ctx.step
+    args = (None, x.terms, y.terms)  # patterns name x and y as 1 and 2
+    # right-normed brackets of shared suffixes, evaluated once per call
+    memo: dict = {}
+    out = (x + y).terms
+    for alpha, c in _law_table(step):
+        val = args[alpha[-1]]
+        for k in range(len(alpha) - 2, -1, -1):
+            suffix = alpha[k:]
+            got = memo.get(suffix)
+            if got is None:
+                got = memo[suffix] = bracket_coords(args[alpha[k]], val, step)
+            val = got
+        for t, v in val.items():
+            cur = out.get(t)
+            out[t] = v * c if cur is None else cur + v * c
+    return LieElement._raw(x.ctx, {t: c for t, c in out.items() if c})
 
 
 def multi_bch(elements) -> LieElement:
@@ -168,8 +224,4 @@ def bch_tail_table(ctx: AlgebraContext) -> BchTailTable:
     """
     if ctx.num_generators != 2:
         raise GradingError("the tail table is defined over exactly two generators")
-    flat: dict = {}
-    for table in expansion_defect_table(ctx).values():
-        for alpha, c in table.items():
-            flat[alpha] = -c
-    return BchTailTable(ctx.step, flat)
+    return BchTailTable(ctx.step, {alpha: -c for alpha, c in _law_table(ctx.step)})

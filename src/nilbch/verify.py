@@ -19,7 +19,7 @@ from .algebra import (
     hall_basis,
     patterns,
 )
-from .bch import bch
+from .bch import _bch_series, bch
 from .identities import (
     commutator_log_tail,
     extract_bracket,
@@ -75,7 +75,8 @@ def _check_bch_matrix(step: int, trials: int, seed: int) -> dict:
 
 
 def _check_associativity(step: int, trials: int, seed: int) -> dict:
-    """bch(bch(a, b), c) == bch(a, bch(b, c)) on random elements."""
+    """bch(bch(a, b), c) == bch(a, bch(b, c)) on random elements, and bch(a, b)
+    equals the series route on the same pair."""
     ctx = AlgebraContext(2, step)
     rng = Random(f"{seed}:assoc:{step}")
     triples = [
@@ -85,7 +86,8 @@ def _check_associativity(step: int, trials: int, seed: int) -> dict:
 
     def ok(triple) -> bool:
         a, b, c = triple
-        return bch(bch(a, b), c) == bch(a, bch(b, c))
+        ab = bch(a, b)
+        return ab == _bch_series(a, b) and bch(ab, c) == bch(a, bch(b, c))
 
     results = [ok(x) for x in triples]
     return {"name": "bch-associativity", "count": len(results), "pass": all(results)}

@@ -1,20 +1,33 @@
 """Composition logs: classical coefficients, matrix oracle, algebraic laws."""
 
+import importlib
 from fractions import Fraction
+from functools import reduce
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nilbch.algebra import AlgebraContext, LieElement, eval_bracket_pattern, hall_basis
+from nilbch import identities
+from nilbch.algebra import (
+    AlgebraContext,
+    LieElement,
+    eval_bracket_pattern,
+    hall_basis,
+    tree_degree,
+)
 from nilbch.bch import (
+    _bch_series,
     bch,
     bch_tail_table,
     conjugation_log,
     expansion_defect_table,
     multi_bch,
 )
-from nilbch.errors import GradingError
+from nilbch.errors import ContextMismatchError, GradingError
 from nilbch.matrices import mat_exp, mat_log, mat_mul, random_nilpotent, substitute
+from nilbch.qpoly import QPoly, T
+from nilbch.verify import run_suite
 
 from test_algebra import random_element
 
@@ -145,3 +158,89 @@ def test_bch_bilinear_degree_one():
     x, y = ctx.generators()
     z = bch(x, y)
     assert z.degree_component(1) == x + y
+
+
+# the table route against the series route it is compiled from
+_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_POLYS = st.lists(_RATIONALS, min_size=1, max_size=3).map(QPoly)
+
+
+@st.composite
+def _element(draw, ctx, coefficients):
+    """A degree-1 part, on which the top-degree brackets of the law depend
+    alone, plus up to three terms of higher degree; any part may be zero."""
+    higher = [t for t in hall_basis(ctx) if tree_degree(t) > 1]
+    terms = {i: draw(coefficients) for i in range(ctx.num_generators)}
+    if higher:
+        for t in draw(st.lists(st.sampled_from(higher), max_size=3)):
+            terms[t] = draw(coefficients)
+    return LieElement(ctx, terms)
+
+
+@pytest.mark.parametrize("step", range(1, 7))
+@pytest.mark.parametrize("letters", [1, 2, 3])
+@_SETTINGS
+@given(data=st.data())
+def test_table_route_matches_series_route(letters, step, data):
+    ctx = AlgebraContext(letters, step)
+    x, y = data.draw(_element(ctx, _RATIONALS)), data.draw(_element(ctx, _RATIONALS))
+    assert bch(x, y) == _bch_series(x, y)
+
+
+@pytest.mark.parametrize("letters,step", [(2, 3), (2, 5), (3, 3)])
+@_SETTINGS
+@given(data=st.data())
+def test_table_route_matches_series_route_on_polynomials(letters, step, data):
+    ctx = AlgebraContext(letters, step)
+    x, y = data.draw(_element(ctx, _POLYS)), data.draw(_element(ctx, _POLYS))
+    assert bch(x, y) == _bch_series(x, y)
+
+
+@pytest.mark.parametrize("letters,step", [(2, 6), (3, 4)])
+def test_table_route_on_generators_times_t(letters, step):
+    ctx = AlgebraContext(letters, step)
+    gens = [g * T for g in ctx.generators()]
+    assert multi_bch(gens) == reduce(_bch_series, gens)
+
+
+def test_zero_operands_and_context_mismatch():
+    ctx = AlgebraContext(2, 4)
+    zero = LieElement.zero(ctx)
+    x = random_element(ctx, Random("bch:zero"))
+    for law in (bch, _bch_series):
+        assert law(zero, zero).is_zero
+        assert law(x, zero) == x
+        assert law(zero, x) == x
+        for other in (LieElement.zero(AlgebraContext(2, 3)), AlgebraContext(3, 4).generator(0)):
+            with pytest.raises(ContextMismatchError):
+                law(x, other)
+            with pytest.raises(ContextMismatchError):
+                law(other, zero)
+
+
+@pytest.mark.parametrize("wrong", ["flip", "rescale"])
+def test_verify_suite_catches_a_wrong_law_table(monkeypatch, wrong):
+    """A flipped coefficient, and the table of the associative but wrong law
+    x*y = bch(2x, 2y)/2 (degree j scaled by 2**(j-1)), which only the series
+    oracle inside the associativity check can tell from the true law."""
+    step = 3
+    bch_module = importlib.import_module("nilbch.bch")
+    table = list(bch_module._law_table(step))
+    if wrong == "flip":
+        alpha, c = table[-1]
+        table[-1] = (alpha, -c)
+    else:
+        table = [(alpha, c * 2 ** (len(alpha) - 1)) for alpha, c in table]
+    monkeypatch.setitem(bch_module._LAW, step, tuple(table))
+    # identities memoises results computed with bch; keep them out of later tests
+    for name, value in list(vars(identities).items()):
+        if name.startswith("_") and name.isupper() and isinstance(value, dict):
+            monkeypatch.setattr(identities, name, {})
+    if wrong == "rescale":
+        a, b, c = (random_element(AlgebraContext(2, step), Random(f"bch:wrong:{i}")) for i in range(3))
+        assert bch(bch(a, b), c) == bch(a, bch(b, c))
+    report = run_suite(step, 5, 0)
+    assert not report["all_pass"]
+    assoc = next(check for check in report["checks"] if check["name"] == "bch-associativity")
+    assert not assoc["pass"]
