@@ -20,6 +20,7 @@ from .identities import ContainmentCertificate, sum_word
 from .matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
+    mat_exp,
     mat_identity,
     mat_inverse,
     mat_log,
@@ -241,47 +242,37 @@ def scale_set(s, q) -> frozenset:
 def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport:
     """Greedy cover of AA by translates x*A with x drawn from AA*A^-1.
 
-    Candidates are scanned in canonical order, so ties break deterministically
-    and the translate list is reproducible.
+    T_x = xA ∩ AA is computed once per candidate x. Each round takes the first
+    x in canonical order with the most of T_x still uncovered, so ties break
+    deterministically and the translate list is reproducible.
     """
     aa = product_set(a, a, cap=cap)
     candidates = _sorted(product_set(aa, inverse_set(a), cap=cap).elements)
-    base = _sorted(a.elements)
     uncovered = set(aa.elements)
+    hits = [(x, {mat_mul(x, y) for y in a.elements} & uncovered) for x in candidates]
     translates: list[UnipotentMatrix] = []
     while uncovered:
-        best = None
-        best_hits = 0
-        for x in candidates:
-            hits = 0
-            for y in base:
-                if mat_mul(x, y) in uncovered:
-                    hits += 1
-            if hits > best_hits:
-                best = x
-                best_hits = hits
-        if best is None:
+        best, covered = max(hits, key=lambda hit: len(hit[1] & uncovered))
+        if not covered & uncovered:
             raise SizeCapError("cover stalled", len(uncovered), cap)
         translates.append(best)
-        for y in base:
-            uncovered.discard(mat_mul(best, y))
+        uncovered -= covered
     return CoverReport(len(a), len(aa), len(translates), tuple(translates))
 
 
 def _find_min_powers(powers, targets, bound: int) -> dict:
     """Least p <= bound with target in log(A^p), reading the (A^p, new)
-    pairs of `powers` lazily and stopping once every target is found."""
-    remaining = set(targets)
+    pairs of `powers` lazily and stopping once every target is found. exp is
+    a bijection onto the unipotent triangles with inverse log, so each target
+    is exponentiated once and looked up in the new elements: no log is taken."""
+    remaining = {mat_exp(t): t for t in set(targets)}
     found: dict = {}
     for p in range(1, bound + 1):
         if not remaining:
             break
         _, new = next(powers)
-        for g in new:
-            x = mat_log(g)
-            if x in remaining:
-                found[x] = p
-                remaining.discard(x)
+        for g in remaining.keys() & new:
+            found[remaining.pop(g)] = p
     return found
 
 

@@ -9,7 +9,9 @@ independent check on every symbolic identity in the package.
 Both types store only the d(d-1)/2 entries above the diagonal, row by row
 (the triangle): N for a nilpotent N and for a unipotent I + N. One product
 over i < k < j and one truncated power series carry the whole group law;
-`.rows` rebuilds the full d x d form.
+`.rows` rebuilds the full d x d form. An integral entry is stored as an int
+and any other as a Fraction, so UT(d, Z) stays in ints; Fraction(2) == 2 and
+both hash alike, so equality, hashing and the `.tri` order ignore the type.
 """
 
 from __future__ import annotations
@@ -24,14 +26,18 @@ from typing import Sequence
 from .algebra import LieElement, as_fraction
 from .errors import GradingError
 
-Rows = tuple[tuple[Fraction, ...], ...]
-Tri = tuple[Fraction, ...]
+Rows = tuple[tuple[int | Fraction, ...], ...]
+Tri = tuple[int | Fraction, ...]
 
-_ZERO = Fraction(0)
+
+def _entry(x) -> int | Fraction:
+    """x as an exact entry: an int when integral, a Fraction otherwise."""
+    q = as_fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _zeros(d: int) -> Tri:
-    return (_ZERO,) * (d * (d - 1) // 2)
+    return (0,) * (d * (d - 1) // 2)
 
 
 @dataclass(frozen=True, init=False)
@@ -44,7 +50,7 @@ class _Triangular:
     tri: Tri
 
     def __init__(self, rows):
-        rows = tuple(tuple(as_fraction(x) for x in row) for row in rows)
+        rows = tuple(tuple(_entry(x) for x in row) for row in rows)
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
@@ -64,11 +70,10 @@ class _Triangular:
     @property
     def rows(self) -> Rows:
         d, tri = self.dim, self.tri
-        diagonal = (Fraction(self._DIAGONAL),)
         out, t = [], 0
         for i in range(d):
             width = d - 1 - i
-            out.append((_ZERO,) * i + diagonal + tri[t : t + width])
+            out.append((0,) * i + (self._DIAGONAL,) + tri[t : t + width])
             t += width
         return tuple(out)
 
@@ -239,7 +244,7 @@ def random_nilpotent(d: int, rng, denominators: tuple[int, ...] = (1, 2)) -> Nil
 
 def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
     """Random unipotent matrix with small integer entries above the diagonal."""
-    tri = (Fraction(rng.randint(-entry_range, entry_range)) for _ in _zeros(d))
+    tri = (rng.randint(-entry_range, entry_range) for _ in _zeros(d))
     return UnipotentMatrix._raw(d, tuple(tri))
 
 

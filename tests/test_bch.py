@@ -204,6 +204,15 @@ def test_table_route_on_generators_times_t(letters, step):
     assert multi_bch(gens) == reduce(_bch_series, gens)
 
 
+@pytest.mark.parametrize("letters,step", [(2, 4), (2, 6), (3, 3)])
+@_SETTINGS
+@given(data=st.data())
+def test_associativity_on_generated_elements(letters, step, data):
+    ctx = AlgebraContext(letters, step)
+    a, b, c = (data.draw(_element(ctx, _RATIONALS)) for _ in range(3))
+    assert bch(bch(a, b), c) == bch(a, bch(b, c))
+
+
 def test_zero_operands_and_context_mismatch():
     ctx = AlgebraContext(2, 4)
     zero = LieElement.zero(ctx)

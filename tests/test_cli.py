@@ -18,6 +18,7 @@ from nilbch.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
 PYPROJECT = ROOT / "pyproject.toml"
+DATA = Path(__file__).resolve().parent / "data"
 
 # subprocesses import the nilbch under test, whatever the working directory
 # or any installed copy
@@ -177,6 +178,15 @@ def test_growth_report_and_schema():
     assert payload["b_chain"] == {"sizes": [5, 3, 1], "top_trivial": True}
     validate(payload, "growth_report.json")
     assert "timing" in err  # timing only on stderr
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_growth_stdout_matches_golden_bytes(radius):
+    # tests/data/growth_ut3_rR.json is this command's stdout, recorded byte
+    # for byte: a faster route to the report must print the same bytes
+    proc = run_python(["-m", "nilbch", "growth", "--dim", "3", "--radius", str(radius)])
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / f"growth_ut3_r{radius}.json").read_bytes()
 
 
 def test_growth_validation_errors():

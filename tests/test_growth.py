@@ -43,8 +43,13 @@ def heisenberg_generators():
     return FiniteGroupSet(3, frozenset(ut_generators(3)), "gens", symmetric=True)
 
 
-# a set with the identity and one without: the two branches of the powers
-SETS = {"ball": lambda: heisenberg_ball(1), "generators": heisenberg_generators}
+# sets with the identity and one without: the two branches of the powers
+SETS = {
+    "ball": lambda: heisenberg_ball(1),
+    "ball2": lambda: heisenberg_ball(2),
+    "generators": heisenberg_generators,
+    "ut4ball": lambda: generate_ball(4, ut_generators(4), 1),
+}
 
 
 def literal_powers(a, k: int) -> list:
@@ -64,6 +69,27 @@ def min_power_index(powers) -> dict:
                 seen.add(g)
                 out.setdefault(mat_log(g), p)
     return out
+
+
+def greedy_cover_by_rescan(a) -> tuple:
+    """The translates of the cover as found by rescanning every candidate
+    against every base element in every greedy round."""
+    aa = product_set(a, a)
+    candidates = sorted(product_set(aa, inverse_set(a)).elements, key=lambda m: m.tri)
+    base = sorted(a.elements, key=lambda m: m.tri)
+    uncovered = set(aa.elements)
+    translates = []
+    while uncovered:
+        best, best_hits = None, 0
+        for x in candidates:
+            hits = sum(1 for y in base if mat_mul(x, y) in uncovered)
+            if hits > best_hits:
+                best, best_hits = x, hits
+        assert best is not None
+        translates.append(best)
+        for y in base:
+            uncovered.discard(mat_mul(best, y))
+    return tuple(translates)
 
 
 def test_ut_generators_symmetric():
@@ -147,6 +173,18 @@ def test_find_cover_is_valid_cover():
     assert covered >= product_set(a, a).elements
 
 
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_find_cover_matches_rescan(name):
+    a = SETS[name]()
+    assert find_cover(a).translates == greedy_cover_by_rescan(a)
+
+
+def test_find_cover_radius_three():
+    # the rescan takes minutes here, so its answer is pinned as numbers
+    report = find_cover(heisenberg_ball(3))
+    assert (report.size_a, report.size_aa, report.k) == (53, 593, 31)
+
+
 def test_sum_containment_exhaustive_heisenberg():
     a = heisenberg_ball(1)
     report = check_sum_containment(a, 1, 1, 2)
@@ -169,9 +207,11 @@ def test_sum_containment_sampled_subset():
     assert full.bound_power == sampled.bound_power
 
 
-@pytest.mark.parametrize("name", sorted(SETS))
-@pytest.mark.parametrize("k1, k2", [(1, 1), (2, 1)])
-def test_sum_containment_min_powers_match_brute_force(name, k1, k2):
+@pytest.mark.parametrize(
+    "k1, k2, name",
+    [(1, 1, "ball"), (1, 1, "generators"), (2, 1, "ball"), (2, 1, "generators"), (1, 1, "ball2")],
+)
+def test_sum_containment_min_powers_match_brute_force(k1, k2, name):
     a = SETS[name]()
     report = check_sum_containment(a, k1, k2, 2)
     assert report.failures == 0

@@ -202,26 +202,87 @@ def rows_of(dense):
     return tuple(tuple(r) for r in dense)
 
 
+def random_entry(kind, rng):
+    """An int, a p/q with q in (2, 3), or either one at random."""
+    if kind == "mixed":
+        kind = rng.choice(("int", "rational"))
+    return rng.randint(-2, 2) if kind == "int" else F(rng.randint(-2, 2), rng.choice((2, 3)))
+
+
+def random_triangular(cls, d, kind, rng):
+    """A matrix of type cls built by its constructor from full rows."""
+    diagonal = int(cls is UnipotentMatrix)
+    rows = [
+        [diagonal if i == j else random_entry(kind, rng) if j > i else 0 for j in range(d)]
+        for i in range(d)
+    ]
+    return cls(rows)
+
+
+KINDS = [("int", "int"), ("rational", "rational"), ("int", "rational"), ("mixed", "mixed")]
+
+
 @pytest.mark.parametrize("d", range(1, 7))
 def test_triangle_matches_dense_reference(d):
     rng = Random(f"matrices:dense:{d}")
     for _ in range(3):
-        a, b = random_unipotent(d, rng), random_unipotent(d, rng)
-        x, y = random_nilpotent(d, rng), random_nilpotent(d, rng)
-        ra, rb = [list(r) for r in a.rows], [list(r) for r in b.rows]
-        rx, ry = [list(r) for r in x.rows], [list(r) for r in y.rows]
-        assert mat_mul(a, b).rows == rows_of(dense_mul(ra, rb))
-        assert mat_inverse(a).rows == rows_of(dense_power(ra, -1))
-        for k in range(-3, 6):
-            assert mat_power(a, k).rows == rows_of(dense_power(ra, k))
-        assert mat_exp(x).rows == rows_of(dense_series(rx, lambda k: F(1, factorial(k))))
-        n = dense_add(ra, dense_identity(d), -1)
-        log = dense_series(n, lambda k: F((-1) ** (k + 1), k) if k else F(0))
-        assert mat_log(a).rows == rows_of(log)
-        assert nil_bracket(x, y).rows == rows_of(dense_bracket(rx, ry))
-        if d > 1:
-            z = random_lie(AlgebraContext(2, d - 1), rng)
-            assert substitute(z, [x, y]).rows == rows_of(dense_substitute(z, [x, y]))
+        for kind_a, kind_b in KINDS:
+            a = random_triangular(UnipotentMatrix, d, kind_a, rng)
+            b = random_triangular(UnipotentMatrix, d, kind_b, rng)
+            x = random_triangular(NilpotentMatrix, d, kind_a, rng)
+            y = random_triangular(NilpotentMatrix, d, kind_b, rng)
+            check_against_dense(d, a, b, x, y, rng)
+        check_against_dense(
+            d, random_unipotent(d, rng), random_unipotent(d, rng),
+            random_nilpotent(d, rng), random_nilpotent(d, rng), rng,
+        )
+
+
+def check_against_dense(d, a, b, x, y, rng):
+    ra, rb = [list(r) for r in a.rows], [list(r) for r in b.rows]
+    rx, ry = [list(r) for r in x.rows], [list(r) for r in y.rows]
+    assert mat_mul(a, b).rows == rows_of(dense_mul(ra, rb))
+    assert mat_inverse(a).rows == rows_of(dense_power(ra, -1))
+    for k in range(-3, 6):
+        assert mat_power(a, k).rows == rows_of(dense_power(ra, k))
+    assert mat_exp(x).rows == rows_of(dense_series(rx, lambda k: F(1, factorial(k))))
+    n = dense_add(ra, dense_identity(d), -1)
+    log = dense_series(n, lambda k: F((-1) ** (k + 1), k) if k else F(0))
+    assert mat_log(a).rows == rows_of(log)
+    assert nil_bracket(x, y).rows == rows_of(dense_bracket(rx, ry))
+    if d > 1:
+        z = random_lie(AlgebraContext(2, d - 1), rng)
+        assert substitute(z, [x, y]).rows == rows_of(dense_substitute(z, [x, y]))
+
+
+def test_integral_entries_are_ints():
+    def ints(m):
+        return all(type(e) is int for row in m.rows for e in row)
+
+    rng = Random("matrices:ints")
+    for d in range(1, 6):
+        a = random_triangular(UnipotentMatrix, d, "int", rng)
+        b = random_triangular(UnipotentMatrix, d, "int", rng)
+        assert ints(a) and ints(random_unipotent(d, rng))
+        assert ints(mat_mul(a, b)) and ints(mat_inverse(a))
+        assert all(ints(mat_power(a, k)) for k in range(-3, 6))
+        # the same matrix from Fractions: stored as ints, equal, same hash
+        twin = UnipotentMatrix([[F(e) for e in row] for row in a.rows])
+        assert ints(twin) and twin == a and hash(twin) == hash(a)
+        assert twin.tri == a.tri and hash(twin.tri) == hash(a.tri)
+    # integral values of any exact type are stored as ints, others as Fractions
+    u = UnipotentMatrix(((1, F(4, 2), "3"), (0, 1, "1/2"), (0, 0, 1)))
+    assert [type(e) for e in u.tri] == [int, int, Fraction] and u.tri == (2, 3, F(1, 2))
+    # exp and log leave the integers where the series needs halves
+    e12 = UnipotentMatrix(((1, 1, 0), (0, 1, 0), (0, 0, 1)))
+    e23 = UnipotentMatrix(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
+    assert mat_log(mat_mul(e12, e23)).tri == (1, F(1, 2), 1)
+    assert mat_exp(mat_log(mat_mul(e12, e23))) == mat_mul(e12, e23)
+    for bad in (0.5, 1.0):
+        with pytest.raises(ValueError):
+            UnipotentMatrix(((1, bad), (0, 1)))
+        with pytest.raises(ValueError):
+            NilpotentMatrix(((0, bad), (0, 0)))
 
 
 def test_products_of_elementary_matrices_by_hand():

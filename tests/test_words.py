@@ -3,12 +3,14 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nilbch.errors import UnboundSymbolError, WordSyntaxError
 from nilbch.matrices import matrix_group_ops, random_unipotent
 from nilbch.words import (
     CommutatorFactor,
     FormalWord,
+    GroupFactor,
     SymbolFactor,
     evaluate_word,
     make_word,
@@ -124,3 +126,32 @@ def test_random_word_roundtrip_small():
     for _ in range(100):
         w = random_word(rng, ("a", "b", "x1"))
         assert parse(serialize(w)) == w
+
+
+# exponent zero is not expressible, and parsing yields canonical words only
+_EXPONENTS = st.integers(-4, 4).filter(bool)
+# "c" next to "(" opens a commutator only when nothing separates them
+_SYMBOLS = st.sampled_from(("a", "b", "c", "x1", "c_2"))
+
+
+def _canonical(factors):
+    return st.lists(factors, min_size=1, max_size=4).map(make_word).filter(len)
+
+
+_WORDS = st.recursive(
+    _canonical(st.builds(SymbolFactor, _SYMBOLS, _EXPONENTS)),
+    lambda words: _canonical(
+        st.one_of(
+            st.builds(SymbolFactor, _SYMBOLS, _EXPONENTS),
+            st.builds(GroupFactor, words, _EXPONENTS),
+            st.builds(CommutatorFactor, words, words, _EXPONENTS),
+        )
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_WORDS)
+def test_parse_serialize_round_trip_on_generated_words(w):
+    assert parse(serialize(w)) == w
