@@ -35,7 +35,6 @@ from .growth import (
     generate_ball,
     log_set,
     powers_up_to,
-    product_set,
     sumset,
     ut_generators,
 )
@@ -201,7 +200,6 @@ def _cmd_growth(args) -> int:
     t0 = time.perf_counter()
 
     ball = generate_ball(args.dim, ut_generators(args.dim), args.radius, cap=args.cap)
-    aa = product_set(ball, ball, cap=args.cap)
     cover = find_cover(ball, cap=args.cap)
     la = log_set(ball)
     ss = sumset(la, la, cap=args.cap)
@@ -227,8 +225,8 @@ def _cmd_growth(args) -> int:
         "seed": args.seed,
         "ball": {
             "size": len(ball),
-            "size_aa": len(aa),
-            "doubling": rational_str(Fraction(len(aa), len(ball))),
+            "size_aa": cover.size_aa,
+            "doubling": rational_str(Fraction(cover.size_aa, len(ball))),
         },
         "cover": {"k": cover.k},
         "log": {
@@ -276,7 +274,7 @@ def _cmd_growth(args) -> int:
 
     lines = [
         f"ball size = {len(ball)}",
-        f"AA size = {len(aa)} (doubling {payload['ball']['doubling']})",
+        f"AA size = {cover.size_aa} (doubling {payload['ball']['doubling']})",
         f"cover k = {cover.k}",
         f"log sumset ratio = {payload['log']['ratio']}",
         f"sum containment: {sc.failures} failures / {sc.checked_pairs} pairs",

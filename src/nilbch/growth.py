@@ -11,14 +11,12 @@ independent of set-hash order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from itertools import chain, islice
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
 from .matrices import (
-    NilpotentMatrix,
     UnipotentMatrix,
     mat_exp,
     mat_identity,
@@ -33,17 +31,16 @@ from .matrices import (
 
 DEFAULT_SIZE_CAP = 2 * 10**6
 
-LogSet = frozenset
-
 
 @dataclass(frozen=True)
 class FiniteGroupSet:
-    """A finite set of unipotent matrices with a provenance note."""
+    """A finite set of unipotent matrices. It keeps the powers A^1, A^2, ...
+    it has enumerated, as frozensets, so later checks on the same set reuse
+    them."""
 
     dim: int
     elements: frozenset
-    provenance: str
-    symmetric: bool = False
+    _kept: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -104,6 +101,30 @@ def _check_cap(what: str, size: int, cap: int):
         raise SizeCapError(what, size, cap)
 
 
+def _image(op, xs, ys, what: str, cap: int) -> frozenset:
+    """{op(x, y) : x in xs, y in ys}, with the cap checked after each x."""
+    out = set()
+    for x in xs:
+        for y in ys:
+            out.add(op(x, y))
+        _check_cap(what, len(out), cap)
+    return frozenset(out)
+
+
+def _grow(seen: set, new, factors, what: str, cap: int) -> set:
+    """One frontier step: the products x*y (x in new, y in factors) not in
+    seen. They are added to seen and returned; the cap bounds all of seen."""
+    nxt = set()
+    for x in new:
+        for y in factors:
+            h = mat_mul(x, y)
+            if h not in seen:
+                seen.add(h)
+                nxt.add(h)
+    _check_cap(what, len(seen), cap)
+    return nxt
+
+
 def ut_generators(d: int) -> list[UnipotentMatrix]:
     """Superdiagonal generators of UT(d, Z) together with their inverses."""
     if d < 2:
@@ -133,18 +154,10 @@ def generate_ball(
     seen = {mat_identity(d)}
     frontier = set(seen)
     for _ in range(radius):
-        nxt = set()
-        for g in frontier:
-            for s in gens:
-                h = mat_mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.add(h)
-        _check_cap("ball", len(seen), cap)
-        if not nxt:
+        frontier = _grow(seen, frontier, gens, "ball", cap)
+        if not frontier:
             break
-        frontier = nxt
-    return FiniteGroupSet(d, frozenset(seen), f"ball(radius={radius})", symmetric=True)
+    return FiniteGroupSet(d, frozenset(seen))
 
 
 def product_set(
@@ -152,47 +165,32 @@ def product_set(
 ) -> FiniteGroupSet:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out = set()
-    for x in a.elements:
-        for y in b.elements:
-            out.add(mat_mul(x, y))
-        _check_cap("product set", len(out), cap)
-    symmetric = a.symmetric and a.elements == b.elements
-    return FiniteGroupSet(
-        a.dim, frozenset(out), f"({a.provenance})*({b.provenance})", symmetric
-    )
+    return FiniteGroupSet(a.dim, _image(mat_mul, a.elements, b.elements, "product set", cap))
 
 
-def _powers(a: FiniteGroupSet, cap: int):
-    """Yield (A^p, the elements of A^p in no earlier power) for p = 1, 2, ...
+def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
+    """A^k, enumerating only the powers that `a` has not kept yet. Every A^p
+    with 1 < p <= k meets the cap, kept or not.
 
     When the identity belongs to A the powers are nested, so each step only
-    multiplies the previous step's new elements by A; otherwise A^p is the
-    literal product A^(p-1) A. Either way A^p is the literal power set.
+    multiplies the elements new in the previous power by A; otherwise A^p is
+    the literal product A^(p-1) A. Either way A^p is the literal power set.
     """
+    kept = a._kept
+    if not kept:
+        kept.append(a.elements)
     nested = mat_identity(a.dim) in a.elements
-    power, new = a, a.elements
-    seen = set(new)
-    p = 1
-    while True:
-        yield power, new
-        p += 1
-        if nested:
-            nxt = set()
-            for x in new:
-                for y in a.elements:
-                    h = mat_mul(x, y)
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.add(h)
-            _check_cap("product set", len(seen), cap)
-            new = nxt
-            elements = frozenset(seen)
-        else:
-            elements = product_set(power, a, cap=cap).elements
-            new = elements - seen
-            seen |= new
-        power = FiniteGroupSet(a.dim, elements, f"({a.provenance})^{p}", a.symmetric)
+    for p in range(2, k + 1):
+        if p > len(kept):
+            if nested:
+                seen = set(kept[-1])
+                new = kept[-1] - kept[-2] if p > 2 else kept[-1]
+                _grow(seen, new, a.elements, "product set", cap)
+                kept.append(frozenset(seen))
+            else:
+                kept.append(_image(mat_mul, kept[-1], a.elements, "product set", cap))
+        _check_cap("product set", len(kept[p - 1]), cap)
+    return kept[k - 1]
 
 
 def power_set(
@@ -204,19 +202,15 @@ def power_set(
 def powers_up_to(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[FiniteGroupSet]:
-    """The power sets A^1..A^k, computed incrementally."""
+    """The power sets A^1..A^k, computed incrementally and kept on `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return [power for power, _ in islice(_powers(a, cap), k)]
+    _power(a, k, cap)
+    return [FiniteGroupSet(a.dim, power) for power in a._kept[:k]]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
-    return FiniteGroupSet(
-        a.dim,
-        frozenset(mat_inverse(x) for x in a.elements),
-        f"({a.provenance})^-1",
-        a.symmetric,
-    )
+    return FiniteGroupSet(a.dim, frozenset(mat_inverse(x) for x in a.elements))
 
 
 def log_set(a: FiniteGroupSet) -> frozenset:
@@ -227,12 +221,7 @@ def log_set(a: FiniteGroupSet) -> frozenset:
 
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
-    out = set()
-    for x in s:
-        for y in t:
-            out.add(nil_add(x, y))
-        _check_cap("sumset", len(out), cap)
-    return frozenset(out)
+    return _image(nil_add, s, t, "sumset", cap)
 
 
 def scale_set(s, q) -> frozenset:
@@ -260,20 +249,30 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
     return CoverReport(len(a), len(aa), len(translates), tuple(translates))
 
 
-def _find_min_powers(powers, targets, bound: int) -> dict:
-    """Least p <= bound with target in log(A^p), reading the (A^p, new)
-    pairs of `powers` lazily and stopping once every target is found. exp is
-    a bijection onto the unipotent triangles with inverse log, so each target
-    is exponentiated once and looked up in the new elements: no log is taken."""
+def _find_min_powers(a: FiniteGroupSet, targets, bound: int, cap: int) -> dict:
+    """Least p <= bound with target in log(A^p), enumerating the powers only
+    until every target is found. exp is a bijection onto the unipotent
+    triangles with inverse log, so each target is exponentiated once and
+    looked up in A^p, p = 1, 2, ...: no log is taken."""
     remaining = {mat_exp(t): t for t in set(targets)}
     found: dict = {}
     for p in range(1, bound + 1):
         if not remaining:
             break
-        _, new = next(powers)
-        for g in remaining.keys() & new:
+        for g in remaining.keys() & _power(a, p, cap):
             found[remaining.pop(g)] = p
     return found
+
+
+def _sample(items: list, mode: str, sample_size: int, seed: int) -> list:
+    """All of items, or in sampled mode a seeded subset in the same order."""
+    if mode == "sampled":
+        rng = random.Random(seed)
+        if len(items) > sample_size:
+            return [items[i] for i in sorted(rng.sample(range(len(items)), sample_size))]
+    elif mode != "exhaustive":
+        raise ValueError(f"unknown mode {mode!r}")
+    return items
 
 
 def check_sum_containment(
@@ -298,20 +297,12 @@ def check_sum_containment(
         raise ValueError("power must be at least 1")
     sw = sum_word(n)
     bound = sw.length * max(k1, k2)
-    # one pass of the powers serves both the sampled sets and the search
-    powers = _powers(a, cap)
-    base = list(islice(powers, max(k1, k2)))
-    us = _sorted(log_set(base[k1 - 1][0]))
-    vs = _sorted(log_set(base[k2 - 1][0]))
-    pairs = [(u, v) for u in us for v in vs]
-    if mode == "sampled":
-        rng = random.Random(seed)
-        if len(pairs) > sample_size:
-            pairs = [pairs[i] for i in sorted(rng.sample(range(len(pairs)), sample_size))]
-    elif mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+    powers = powers_up_to(a, max(k1, k2), cap=cap)
+    us = _sorted(log_set(powers[k1 - 1]))
+    vs = _sorted(log_set(powers[k2 - 1]))
+    pairs = _sample([(u, v) for u in us for v in vs], mode, sample_size, seed)
     targets = [nil_scale(nil_add(u, v), sw.m) for u, v in pairs]
-    min_power = _find_min_powers(chain(base, powers), targets, bound)
+    min_power = _find_min_powers(a, targets, bound, cap)
     found = [min_power.get(t) for t in targets]
     failures = sum(1 for p in found if p is None)
     max_witness = max((p for p in found if p is not None), default=0)
@@ -338,13 +329,7 @@ def compute_B_chain(
     b0 = log_set(a)
     chain = [b0]
     for _ in range(n):
-        prev = chain[-1]
-        nxt = set()
-        for u in b0:
-            for v in prev:
-                nxt.add(nil_bracket(u, v))
-            _check_cap("bracket set", len(nxt), cap)
-        chain.append(frozenset(nxt))
+        chain.append(_image(nil_bracket, b0, chain[-1], "bracket set", cap))
     return chain
 
 
@@ -353,7 +338,7 @@ def _witness_search(target, term_sets, idx):
     s = term_sets[idx]
     if idx == len(term_sets) - 1:
         return (target,) if target in s else None
-    for t in s if isinstance(s, list) else _sorted(s):
+    for t in s:
         rest = _witness_search(nil_add(target, nil_scale(t, -1)), term_sets, idx + 1)
         if rest is not None:
             return (t,) + rest
@@ -383,21 +368,13 @@ def check_commutator_containment(
         failures = sum(1 for x in bj if x != nil_zero(a.dim))
         witnesses = tuple((x, ()) for x in _sorted(bj) if x == nil_zero(a.dim))
         return BracketContainmentReport(j, len(bj), len(bj), failures, witnesses)
-    term_sets = []
-    for q, k in zip(cert.rationals, cert.exponents):
-        s = scale_set(log_set(power_set(a, k, cap=cap)), q)
-        term_sets.append(_sorted(s))
-    # last set is a lookup table, earlier ones are scanned
-    term_sets[-1] = frozenset(term_sets[-1])
-    targets = _sorted(bj)
-    if mode == "sampled":
-        rng = random.Random(seed)
-        if len(targets) > sample_size:
-            targets = [
-                targets[i] for i in sorted(rng.sample(range(len(targets)), sample_size))
-            ]
-    elif mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+    term_sets = [
+        scale_set(log_set(power_set(a, k, cap=cap)), q)
+        for q, k in zip(cert.rationals, cert.exponents)
+    ]
+    # earlier sets are scanned in canonical order, the last is a lookup table
+    term_sets[:-1] = [_sorted(s) for s in term_sets[:-1]]
+    targets = _sample(_sorted(bj), mode, sample_size, seed)
     results = [(x, _witness_search(x, term_sets, 0)) for x in targets]
     failures = sum(1 for _, w in results if w is None)
     witnesses = tuple((x, w) for x, w in results if w is not None)

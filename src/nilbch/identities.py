@@ -211,16 +211,6 @@ class _SymbolicSynthesis:
 
 
 _SYMBOLIC_CACHE: dict = {}
-_PATTERN_LOG_CACHE: dict = {}
-
-
-def _pattern_group_log(ctx: AlgebraContext, pattern: BracketPattern) -> LieElement:
-    key = (ctx.num_generators, ctx.step, ctx.symbols, pattern)
-    got = _PATTERN_LOG_CACHE.get(key)
-    if got is None:
-        gens = [group.exp(g) for g in ctx.generators()]
-        got = _PATTERN_LOG_CACHE[key] = group.nested_commutator(pattern, gens).log
-    return got
 
 
 def _inner_exponent_log(
@@ -247,6 +237,7 @@ def _symbolic_synthesis(
         return got
     ctx = AlgebraContext(num_generators, step, symbols)
     gens = ctx.generators()
+    group_gens = [group.exp(g) for g in gens]
     target = gens[0] * POLY_T
     for g in gens[1:]:
         target = target + g * POLY_T
@@ -271,7 +262,7 @@ def _symbolic_synthesis(
             if inner_exponents:
                 lam = bch(lam, _inner_exponent_log(ctx, alpha, poly))
             else:
-                lam = bch(lam, _pattern_group_log(ctx, alpha) * poly)
+                lam = bch(lam, group.nested_commutator(alpha, group_gens).log * poly)
         divisors.append(c)
         log_by_level[degree] = lam
     if lam != target:
@@ -317,20 +308,22 @@ def _correction_factor(
     return CommutatorFactor(head, tail, m)
 
 
+def _check_synthesis_size(num_generators: int, step: int):
+    if step > DEFAULT_STEP_CAP:
+        raise ValueError(f"step {step} exceeds the cap {DEFAULT_STEP_CAP}")
+    if not 1 <= num_generators <= DEFAULT_GENS_CAP:
+        raise ValueError(f"generator count must be in 1..{DEFAULT_GENS_CAP}")
+
+
 def synthesis_divisors(
     num_generators: int,
     step: int,
     *,
     inner_exponents: bool = False,
     symbols: tuple[str, ...] | None = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-    gens_cap: int = DEFAULT_GENS_CAP,
 ) -> tuple[int, ...]:
     """The divisibility ladder c_1..c_step, independent of any power."""
-    if step > step_cap:
-        raise ValueError(f"step {step} exceeds the cap {step_cap}")
-    if not 1 <= num_generators <= gens_cap:
-        raise ValueError(f"generator count must be in 1..{gens_cap}")
+    _check_synthesis_size(num_generators, step)
     sym = _symbolic_synthesis(num_generators, step, inner_exponents, symbols or ())
     return sym.divisors
 
@@ -343,27 +336,22 @@ def power_word_synthesis(
     *,
     inner_exponents: bool = False,
     symbols: tuple[str, ...] | None = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-    gens_cap: int = DEFAULT_GENS_CAP,
 ) -> SynthesisResult:
     """A word whose log agrees with power * (sum of generator logs) through
     the given degree level.
 
     The divisibility ladder c_1..c_step is computed first and the power must
     satisfy all of it; violations raise DivisibilityError naming the violated
-    divisor. Raising step_cap or gens_cap past the defaults is supported but
-    pattern enumeration grows as L**degree and the basis dimension
-    superexponentially.
+    divisor. The step and generator count are capped at DEFAULT_STEP_CAP
+    and DEFAULT_GENS_CAP: pattern enumeration grows as L**degree and the
+    basis dimension superexponentially.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
     step = level if step is None else step
     if step < level:
         raise ValueError("the cleared level cannot exceed the step")
-    if step > step_cap:
-        raise ValueError(f"step {step} exceeds the cap {step_cap}")
-    if not 1 <= num_generators <= gens_cap:
-        raise ValueError(f"generator count must be in 1..{gens_cap}")
+    _check_synthesis_size(num_generators, step)
     if not isinstance(power, int):
         raise ValueError("the power must be an integer")
     sym = _symbolic_synthesis(num_generators, step, inner_exponents, symbols or ())
@@ -426,13 +414,13 @@ class SumWordResult:
 _SUM_WORD_CACHE: dict = {}
 
 
-def sum_word(step: int, *, step_cap: int = DEFAULT_STEP_CAP) -> SumWordResult:
+def sum_word(step: int) -> SumWordResult:
     got = _SUM_WORD_CACHE.get(step)
     if got is not None:
         return got
-    divisors = synthesis_divisors(2, step, symbols=("a", "b"), step_cap=step_cap)
+    divisors = synthesis_divisors(2, step, symbols=("a", "b"))
     m = divisors[-1]
-    res = power_word_synthesis(m, 2, step, symbols=("a", "b"), step_cap=step_cap)
+    res = power_word_synthesis(m, 2, step, symbols=("a", "b"))
     if res.certificate.min_residual_degree != EXACT:
         raise InternalInvariantError("sum word must be exact at its own step")
     got = _SUM_WORD_CACHE[step] = SumWordResult(

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -187,6 +188,55 @@ def test_growth_stdout_matches_golden_bytes(radius):
     proc = run_python(["-m", "nilbch", "growth", "--dim", "3", "--radius", str(radius)])
     assert proc.returncode == 0
     assert proc.stdout == (DATA / f"growth_ut3_r{radius}.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["--radius", "1", "--cap", "30"], 32),
+        (["--radius", "2", "--cap", "40"], 46),
+        (["--radius", "1", "--cap", "100"], 135),
+        (["--radius", "1", "--cap", "60"], 135),
+        (["--radius", "1", "--powers", "3,2", "--cap", "200"], 299),
+    ],
+)
+def test_growth_size_cap_stderr_is_pinned(argv, size):
+    # the size each cap trips at is part of the output contract
+    cap = int(argv[-1])
+    code, out, err = run_cli(["growth", "--dim", "3", *argv])
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building product set: '
+        f'{size} > cap {cap}","what":"product set","size":{size},"cap":{cap}}}\n'
+    )
+
+
+def readme_commands() -> list:
+    """(golden file name, argv, stdin) for each command of the README's
+    "Command line" block, verify-identities at 10 trials instead of 100."""
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for i, line in enumerate(block.splitlines(), start=1):
+        words = shlex.split(line, comments=True)
+        stdin = ""
+        if "|" in words:
+            # echo '...' | nilbch ...
+            stdin, words = words[1] + "\n", words[words.index("|") + 1 :]
+        argv = words[1:]
+        if "--trials" in argv:
+            argv[argv.index("--trials") + 1] = "10"
+        out.append((f"readme_{i}_{argv[0]}.json", argv, stdin))
+    return out
+
+
+@pytest.mark.parametrize("name, argv, stdin", readme_commands())
+def test_readme_commands_match_golden_bytes(name, argv, stdin):
+    # tests/data/readme_*.json hold each README command's stdout, recorded
+    # byte for byte
+    proc = run_python(["-m", "nilbch", *argv], input=stdin.encode())
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / name).read_bytes()
 
 
 def test_growth_validation_errors():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilbch import growth
 from nilbch.algebra import AlgebraContext
 from nilbch.errors import SizeCapError
 from nilbch.growth import (
@@ -40,7 +41,7 @@ def heisenberg_ball(radius: int):
 def heisenberg_generators():
     """The generators of UT(3, Z) and their inverses without the identity, so
     the powers are not nested."""
-    return FiniteGroupSet(3, frozenset(ut_generators(3)), "gens", symmetric=True)
+    return FiniteGroupSet(3, frozenset(ut_generators(3)))
 
 
 # sets with the identity and one without: the two branches of the powers
@@ -113,7 +114,6 @@ def test_ball_contains_identity_and_is_symmetric():
     from nilbch.matrices import mat_inverse
 
     assert all(mat_inverse(g) in a for g in a)
-    assert a.symmetric
 
 
 def test_product_set_is_square():
@@ -136,6 +136,35 @@ def test_powers_monotone_and_match_literal_products():
             p.elements for p in literal_powers(a, 5)
         ]
         assert power_set(a, 3).elements == powers[2].elements
+
+
+def test_kept_powers_serve_later_checks(monkeypatch):
+    # A^3 and the certificate's A^3 and A^1 come from the powers the ball
+    # kept when powers_up_to enumerated A^1..A^4: no product is taken again
+    a = heisenberg_ball(1)
+    literal = literal_powers(a, 3)[2].elements
+    powers_up_to(a, 4)
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(growth, "mat_mul", counted)
+    assert power_set(a, 3).elements == literal
+    assert check_commutator_containment(a, 1, cert).failures == 0
+    assert calls == []
+    # only frozensets are kept, so a set never holds itself
+    assert all(type(s) is frozenset for s in a._kept)
+
+
+def test_kept_power_still_meets_the_cap():
+    a = heisenberg_ball(1)
+    powers_up_to(a, 3)
+    with pytest.raises(SizeCapError) as err:
+        powers_up_to(a, 3, cap=20)
+    assert (err.value.size, err.value.cap) == (53, 20)
 
 
 def test_inverse_set_of_symmetric_ball_is_itself():
