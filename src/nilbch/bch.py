@@ -9,10 +9,10 @@ from the series route, and kept for the life of the process.
 
 The series route computes the composition in the truncated free associative
 algebra: embed both Lie elements, multiply their exponentials, take the
-logarithm, and project each homogeneous component back to the Lie algebra
-with the Dynkin idempotent (right-normed bracketing of every word, divided by
-the degree). It builds the tables and serves as the oracle for the table
-route. All arithmetic is exact.
+logarithm, and read the Lyndon coordinates back with the triangular peel of
+algebra.extract_lie_coords, which raises on any series that is not the
+expansion of a Lie element. It builds the tables and serves as the oracle for
+the table route. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -25,25 +25,11 @@ from .algebra import (
     AlgebraContext,
     LieElement,
     bracket_coords,
+    extract_lie_coords,
     rightnormed_decomposition,
     tree_assoc,
 )
 from .errors import ContextMismatchError, GradingError
-
-_RHO: dict = {}
-
-
-def _rho_coords(word: tuple[int, ...]) -> dict:
-    """Lyndon coordinates of the right-normed bracketing of a word."""
-    got = _RHO.get(word)
-    if got is None:
-        if len(word) == 1:
-            got = {word[0]: 1}
-        else:
-            tail = _rho_coords(word[1:])
-            got = bracket_coords({word[0]: 1}, tail, len(word))
-        _RHO[word] = got
-    return got
 
 
 def lie_to_assoc(x: LieElement) -> dict:
@@ -60,23 +46,6 @@ def lie_to_assoc(x: LieElement) -> dict:
     return out
 
 
-def assoc_to_lie(ctx: AlgebraContext, p: dict) -> LieElement:
-    """Dynkin projection of a series that is (assumed) the expansion of a Lie
-    element: each word maps to its right-normed bracketing over its degree."""
-    terms: dict = {}
-    for w, c in p.items():
-        m = len(w)
-        cm = c * Fraction(1, m)
-        for t, k in _rho_coords(w).items():
-            cur = terms.get(t)
-            cur = cm * k if cur is None else cur + cm * k
-            if cur:
-                terms[t] = cur
-            else:
-                del terms[t]
-    return LieElement._raw(ctx, terms)
-
-
 def _bch_series(x: LieElement, y: LieElement) -> LieElement:
     """log of exp(x) exp(y) through the free associative algebra."""
     if x.ctx != y.ctx:
@@ -89,7 +58,7 @@ def _bch_series(x: LieElement, y: LieElement) -> LieElement:
     ex = series.exp_truncated(lie_to_assoc(x), step)
     ey = series.exp_truncated(lie_to_assoc(y), step)
     z = series.log_truncated(series.mul_trunc(ex, ey, step), step)
-    return assoc_to_lie(x.ctx, z)
+    return LieElement._raw(x.ctx, extract_lie_coords(z))
 
 
 _LAW: dict = {}
@@ -165,63 +134,13 @@ def conjugation_log(a: LieElement, b: LieElement) -> LieElement:
     return out
 
 
-def expansion_defect_table(ctx: AlgebraContext) -> dict[int, dict]:
-    """Per-degree right-normed tables for the expansion defect
-    multi_bch(generators) minus the sum of the generators.
-
-    Degree j maps to {pattern: coefficient} over the canonical spanning
-    patterns; degrees with an identically zero defect are omitted.
-    """
-    gens = ctx.generators()
-    total = gens[0]
-    for g in gens[1:]:
-        total = total + g
-    defect = multi_bch(gens) - total
-    out: dict[int, dict] = {}
-    for j in range(2, ctx.step + 1):
-        comp = defect.degree_component(j)
-        if comp.is_zero:
-            continue
-        out[j] = rightnormed_decomposition(comp)
-    return out
-
-
-class BchTailTable:
-    """Flat pattern table for the two-generator composition defect:
-    x + y - bch(x, y) written over right-normed generator brackets."""
-
-    __slots__ = ("step", "coefficients")
-
-    def __init__(self, step: int, coefficients: dict):
-        self.step = step
-        self.coefficients = coefficients
-
-    def __iter__(self):
-        return iter(sorted(self.coefficients.items(), key=lambda kv: (len(kv[0]), kv[0])))
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, pattern) -> Fraction:
-        return self.coefficients[pattern]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BchTailTable):
-            return self.step == other.step and self.coefficients == other.coefficients
-        if isinstance(other, dict):
-            return self.coefficients == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"BchTailTable(step={self.step}, {self.coefficients!r})"
-
-
-def bch_tail_table(ctx: AlgebraContext) -> BchTailTable:
-    """Tail table over two generators; requires a two-generator context.
+def bch_tail_table(ctx: AlgebraContext) -> dict:
+    """Tail table over two generators, {pattern: coefficient} in law-table
+    order (by degree, then pattern); requires a two-generator context.
 
     The entries decompose x + y - bch(x, y), the negative of the expansion
     defect, so adding the table back onto the composition recovers the sum.
     """
     if ctx.num_generators != 2:
         raise GradingError("the tail table is defined over exactly two generators")
-    return BchTailTable(ctx.step, {alpha: -c for alpha, c in _law_table(ctx.step)})
+    return {alpha: -c for alpha, c in _law_table(ctx.step)}

@@ -104,7 +104,7 @@ def _cmd_hall(args) -> int:
 def _cmd_bch(args) -> int:
     ctx = AlgebraContext(2, args.step)
     if args.degree_table:
-        table = bch_tail_table(ctx)
+        table = bch_tail_table(ctx).items()
         payload = table_to_json(table)
         lines = [
             f"{','.join(map(str, alpha))} {rational_str(c)}" for alpha, c in table

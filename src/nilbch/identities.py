@@ -35,7 +35,7 @@ from .algebra import (
     eval_bracket_pattern,
     rightnormed_decomposition,
 )
-from .bch import bch, expansion_defect_table, multi_bch
+from .bch import bch, multi_bch
 from .errors import (
     ContextMismatchError,
     DivisibilityError,
@@ -56,6 +56,26 @@ EXACT = "exact"
 # ---------------------------------------------------------------------------
 # expansion tables
 
+def _expansion_defect(
+    num_factors: int, ctx: AlgebraContext
+) -> tuple[AlgebraContext, tuple[LieElement, ...], LieElement]:
+    """The first num_factors generators, in a context of their own when they
+    are fewer than all of ctx's, and their expansion defect: the log of their
+    product minus their sum."""
+    if not 1 <= num_factors <= ctx.num_generators:
+        raise GradingError(
+            f"factor count {num_factors} outside 1..{ctx.num_generators}"
+        )
+    sub = ctx
+    if num_factors != ctx.num_generators:
+        sub = AlgebraContext(num_factors, ctx.step, ctx.symbols[:num_factors])
+    gens = sub.generators()
+    total = gens[0]
+    for g in gens[1:]:
+        total = total + g
+    return sub, gens, multi_bch(gens) - total
+
+
 def iterated_expansion(num_factors: int, ctx: AlgebraContext) -> dict[int, dict]:
     """Per-degree right-normed tables for the log of the product of the first
     num_factors generators minus the sum of their logs.
@@ -64,15 +84,8 @@ def iterated_expansion(num_factors: int, ctx: AlgebraContext) -> dict[int, dict]
     tables. Re-evaluating the patterns on the generators and adding the sum
     of the logs reproduces the product log exactly.
     """
-    if not 1 <= num_factors <= ctx.num_generators:
-        raise GradingError(
-            f"factor count {num_factors} outside 1..{ctx.num_generators}"
-        )
-    sub = ctx
-    if num_factors != ctx.num_generators:
-        sub = AlgebraContext(num_factors, ctx.step, ctx.symbols[:num_factors])
-    tables = expansion_defect_table(sub)
-    return {d: tables.get(d, {}) for d in range(2, ctx.step + 1)}
+    _, _, defect = _expansion_defect(num_factors, ctx)
+    return {d: rightnormed_decomposition(defect, d) for d in range(2, ctx.step + 1)}
 
 
 def commutator_log_tail(
@@ -132,19 +145,9 @@ def log_product_decomposition(
     """
     if not 1 <= level <= ctx.step:
         raise GradingError(f"clearing level {level} outside 1..{ctx.step}")
-    if not 1 <= num_factors <= ctx.num_generators:
-        raise GradingError(
-            f"factor count {num_factors} outside 1..{ctx.num_generators}"
-        )
-    sub = ctx
-    if num_factors != ctx.num_generators:
-        sub = AlgebraContext(num_factors, ctx.step, ctx.symbols[:num_factors])
-    gens = sub.generators()
+    sub, gens, defect = _expansion_defect(num_factors, ctx)
     env = {s: group.exp(g) for s, g in zip(sub.symbols, gens)}
-    total = gens[0]
-    for g in gens[1:]:
-        total = total + g
-    remaining = total - multi_bch(gens)
+    remaining = -defect
     betas: list[Fraction] = []
     words: list[FormalWord] = []
     for degree in range(2, level + 1):
@@ -213,25 +216,12 @@ class _SymbolicSynthesis:
 _SYMBOLIC_CACHE: dict = {}
 
 
-def _inner_exponent_log(
-    ctx: AlgebraContext, pattern: BracketPattern, exponent
-) -> LieElement:
-    """Log of the commutator with the exponent moved onto the first argument."""
-    gens = [group.exp(g) for g in ctx.generators()]
-    head = group.GroupElement(gens[pattern[0] - 1].log * exponent)
-    if len(pattern) == 1:
-        return head.log
-    tail = group.nested_commutator(pattern[1:], gens)
-    return group.commutator(head, tail).log
-
-
 def _symbolic_synthesis(
     num_generators: int,
     step: int,
-    inner_exponents: bool,
     symbols: tuple[str, ...],
 ) -> _SymbolicSynthesis:
-    key = (num_generators, step, inner_exponents, symbols)
+    key = (num_generators, step, symbols)
     got = _SYMBOLIC_CACHE.get(key)
     if got is not None:
         return got
@@ -259,10 +249,7 @@ def _symbolic_synthesis(
             for den in poly.denominators():
                 c = lcm(c, den)
             corrections.append((degree, alpha, poly))
-            if inner_exponents:
-                lam = bch(lam, _inner_exponent_log(ctx, alpha, poly))
-            else:
-                lam = bch(lam, group.nested_commutator(alpha, group_gens).log * poly)
+            lam = bch(lam, group.nested_commutator(alpha, group_gens).log * poly)
         divisors.append(c)
         log_by_level[degree] = lam
     if lam != target:
@@ -294,14 +281,9 @@ def _pattern_word(pattern: BracketPattern, symbols: tuple[str, ...]) -> FormalWo
     )
 
 
-def _correction_factor(
-    pattern: BracketPattern, m: int, symbols: tuple[str, ...], inner: bool
-):
+def _correction_factor(pattern: BracketPattern, m: int, symbols: tuple[str, ...]):
     head = _pattern_word(pattern[:1], symbols)
     tail = _pattern_word(pattern[1:], symbols)
-    if inner:
-        head = FormalWord((SymbolFactor(symbols[pattern[0] - 1], m),))
-        return CommutatorFactor(head, tail)
     if m < 0:
         # the inverse of a commutator swaps its arguments exactly
         return CommutatorFactor(tail, head, -m)
@@ -319,12 +301,11 @@ def synthesis_divisors(
     num_generators: int,
     step: int,
     *,
-    inner_exponents: bool = False,
     symbols: tuple[str, ...] | None = None,
 ) -> tuple[int, ...]:
     """The divisibility ladder c_1..c_step, independent of any power."""
     _check_synthesis_size(num_generators, step)
-    sym = _symbolic_synthesis(num_generators, step, inner_exponents, symbols or ())
+    sym = _symbolic_synthesis(num_generators, step, symbols or ())
     return sym.divisors
 
 
@@ -334,7 +315,6 @@ def power_word_synthesis(
     level: int,
     step: int | None = None,
     *,
-    inner_exponents: bool = False,
     symbols: tuple[str, ...] | None = None,
 ) -> SynthesisResult:
     """A word whose log agrees with power * (sum of generator logs) through
@@ -354,7 +334,7 @@ def power_word_synthesis(
     _check_synthesis_size(num_generators, step)
     if not isinstance(power, int):
         raise ValueError("the power must be an integer")
-    sym = _symbolic_synthesis(num_generators, step, inner_exponents, symbols or ())
+    sym = _symbolic_synthesis(num_generators, step, symbols or ())
     for degree, c in enumerate(sym.divisors, start=1):
         if power % c:
             raise DivisibilityError(required=c, got=power, degree=degree)
@@ -370,9 +350,7 @@ def power_word_synthesis(
         if m.denominator != 1:
             raise InternalInvariantError("correction exponent failed to be integral")
         if m:
-            factors.append(
-                _correction_factor(alpha, int(m), ctx.symbols, inner_exponents)
-            )
+            factors.append(_correction_factor(alpha, int(m), ctx.symbols))
     word = make_word(factors)
     target = _evaluate_at(sym.target, power)
     achieved = _evaluate_at(sym.log_by_level[level], power)

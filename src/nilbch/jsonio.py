@@ -18,6 +18,9 @@ def rational_str(q) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if isinstance(text, bool):
+        # JSON true/false arrive as bools, which Fraction would take as 1/0
+        raise ValueError(f"invalid rational {text!r}")
     try:
         return as_fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as e:

@@ -11,6 +11,7 @@ from nilbch.algebra import (
     ad_power,
     dimensions_by_degree,
     eval_bracket_pattern,
+    extract_lie_coords,
     hall_basis,
     is_lyndon,
     lyndon_words,
@@ -21,7 +22,7 @@ from nilbch.algebra import (
     tree_foliage,
     tree_str,
 )
-from nilbch.errors import ContextMismatchError, GradingError
+from nilbch.errors import ContextMismatchError, GradingError, InternalInvariantError
 from nilbch.group import exp, rational_power
 from nilbch.growth import scale_set
 from nilbch.matrices import NilpotentMatrix, nil_scale, nil_zero
@@ -237,6 +238,14 @@ def test_rightnormed_decomposition_degree_restriction():
     assert table == {(1, 2): Fraction(1)}
     with pytest.raises(GradingError):
         rightnormed_decomposition(mixed)
+
+
+# x1 x0 has a non-Lyndon least word; x0 x1 alone leaves x1 x0 after its
+# peel; a constant term is never Lie
+@pytest.mark.parametrize("series", [{(1, 0): 1}, {(0, 1): 1}, {(): 1}])
+def test_extract_lie_coords_refuses_a_non_lie_series(series):
+    with pytest.raises(InternalInvariantError):
+        extract_lie_coords(series)
 
 
 def test_min_max_degree():

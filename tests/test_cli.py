@@ -146,9 +146,9 @@ def test_extract_bracket_bad_stdin():
     assert json.loads(err)["error"] == "json"
     code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text="{not json")
     assert code == 2
-    # coefficients are rational strings: a JSON number with a fraction part
-    # or a list is refused, not converted
-    for bad in ("0.1", "1e400", "[1]"):
+    # coefficients are rational strings: a JSON number with a fraction part,
+    # a list or a boolean is refused, not converted
+    for bad in ("0.1", "1e400", "[1]", "true", "false"):
         stdin_text = '[{"x1":%s},{"x2":"1"}]' % bad
         code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text=stdin_text)
         assert code == 2
@@ -230,13 +230,47 @@ def readme_commands() -> list:
     return out
 
 
+def assert_golden_stdout(name, argv, stdin=""):
+    """The command exits 0 and prints the bytes of tests/data/<name>."""
+    proc = run_python(["-m", "nilbch", *argv], input=stdin.encode())
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / name).read_bytes()
+
+
 @pytest.mark.parametrize("name, argv, stdin", readme_commands())
 def test_readme_commands_match_golden_bytes(name, argv, stdin):
     # tests/data/readme_*.json hold each README command's stdout, recorded
     # byte for byte
-    proc = run_python(["-m", "nilbch", *argv], input=stdin.encode())
-    assert proc.returncode == 0
-    assert proc.stdout == (DATA / name).read_bytes()
+    assert_golden_stdout(name, argv, stdin)
+
+
+# stdout that passes through the law table, the tail table, the expansion
+# defect and the synthesis, recorded byte for byte
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        *((f"bch_s{n}_degree_table.json", ["bch", "--step", str(n), "--degree-table"])
+          for n in range(1, 7)),
+        ("bch_s6.json", ["bch", "--step", "6"]),
+        ("bch_s3_degree_table.txt", ["bch", "--step", "3", "--degree-table", "--format", "text"]),
+        ("verify_identities_s5_t5.json", ["verify-identities", "--step", "5", "--trials", "5"]),
+        ("synth_sum_s4.json", ["synth-sum", "--step", "4"]),
+        ("synth_power_s4_g3_l4_t24.json",
+         ["synth-power", "--step", "4", "--gens", "3", "--level", "4", "--T", "24"]),
+    ],
+)
+def test_engine_commands_match_golden_bytes(name, argv):
+    assert_golden_stdout(name, argv)
+
+
+def test_readme_python_blocks_run():
+    text = (ROOT / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    quick_start, growth = (run_python(["-c", block]) for block in blocks)
+    assert quick_start.returncode == 0, quick_start.stderr.decode()
+    assert quick_start.stdout == b"2 12\n"
+    assert growth.returncode == 0, growth.stderr.decode()
 
 
 def test_growth_validation_errors():
