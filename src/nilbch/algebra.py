@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 from . import series
 from .errors import ContextMismatchError, GradingError, InternalInvariantError
 from .linalg import invert_matrix, mat_vec
+from .record import Record
 
 # leaf: generator index; node: (left, right)
 HallTree = "int | tuple"
@@ -51,30 +51,42 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True)
-class AlgebraContext:
+class AlgebraContext(Record):
     """Generator count, truncation step, and display symbols for one algebra."""
 
-    num_generators: int
-    step: int
-    symbols: tuple[str, ...] = ()
+    __slots__ = ("num_generators", "step", "symbols")
 
-    def __post_init__(self):
-        if self.num_generators < 1:
+    def __init__(self, num_generators: int, step: int, symbols: tuple[str, ...] = ()):
+        if num_generators < 1:
             raise ValueError("need at least one generator")
-        if self.step < 1:
+        if step < 1:
             raise ValueError("step must be at least 1")
-        if not self.symbols:
-            object.__setattr__(
-                self, "symbols", tuple(f"x{i + 1}" for i in range(self.num_generators))
-            )
-        if len(self.symbols) != self.num_generators:
+        if not symbols:
+            symbols = tuple(f"x{i + 1}" for i in range(num_generators))
+        if len(symbols) != num_generators:
             raise ValueError("symbol count must match generator count")
-        for s in self.symbols:
+        for s in symbols:
             if not _SYMBOL_RE.match(s):
                 raise ValueError(f"invalid symbol {s!r}")
-        if len(set(self.symbols)) != self.num_generators:
+        if len(set(symbols)) != num_generators:
             raise ValueError("symbols must be distinct")
+        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.num_generators == other.num_generators
+            and self.step == other.step
+            and self.symbols == other.symbols
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.num_generators, self.step, self.symbols))
 
     def generator(self, i: int) -> "LieElement":
         """The i-th generator (0-based) as a Lie element."""
@@ -93,23 +105,22 @@ class AlgebraContext:
 # ---------------------------------------------------------------------------
 # trees and Lyndon words
 
-_FOLIAGE: dict = {}
-
-
 def tree_foliage(t) -> tuple[int, ...]:
     """Leaf indices of a tree, left to right."""
     if isinstance(t, int):
         return (t,)
-    got = _FOLIAGE.get(t)
-    if got is None:
-        got = _FOLIAGE[t] = tree_foliage(t[0]) + tree_foliage(t[1])
-    return got
+    return tree_foliage(t[0]) + tree_foliage(t[1])
+
+
+_DEGREE: dict = {}
 
 
 def tree_degree(t) -> int:
-    if isinstance(t, int):
-        return 1
-    return len(tree_foliage(t))
+    """Leaf count of a tree, memoised: the bracket kernel reads it per term."""
+    got = _DEGREE.get(t)
+    if got is None:
+        got = _DEGREE[t] = 1 if isinstance(t, int) else tree_degree(t[0]) + tree_degree(t[1])
+    return got
 
 
 def tree_str(t, symbols: Sequence[str]) -> str:
@@ -304,23 +315,34 @@ def bracket_basis(t1, t2) -> dict:
 
 
 def bracket_coords(a: Mapping, b: Mapping, step: int) -> dict:
-    """Bilinear extension of bracket_basis, truncated at step."""
+    """Bilinear extension of bracket_basis, truncated at step. The terms of b
+    are grouped by degree once, so pairs past the step are never visited."""
+    by_degree: dict = {}
+    for t2, c2 in b.items():
+        d2 = tree_degree(t2)
+        got = by_degree.get(d2)
+        if got is None:
+            by_degree[d2] = [(t2, c2)]
+        else:
+            got.append((t2, c2))
+    classes = sorted(by_degree.items())
     out: dict = {}
     for t1, c1 in a.items():
-        d1 = tree_degree(t1)
-        for t2, c2 in b.items():
-            if d1 + tree_degree(t2) > step:
-                continue
-            c12 = c1 * c2
-            if not c12:
-                continue
-            for t, k in bracket_basis(t1, t2).items():
-                cur = out.get(t)
-                cur = c12 * k if cur is None else cur + c12 * k
-                if cur:
-                    out[t] = cur
-                else:
-                    out.pop(t, None)
+        room = step - tree_degree(t1)
+        for d2, terms in classes:
+            if d2 > room:
+                break
+            for t2, c2 in terms:
+                c12 = c1 * c2
+                if not c12:
+                    continue
+                for t, k in bracket_basis(t1, t2).items():
+                    cur = out.get(t)
+                    cur = c12 * k if cur is None else cur + c12 * k
+                    if cur:
+                        out[t] = cur
+                    else:
+                        out.pop(t, None)
     return out
 
 
@@ -338,18 +360,22 @@ class LieElement:
 
     def __init__(self, ctx: AlgebraContext, terms: Mapping):
         index = _basis_index(ctx)
+        basis = hall_basis(ctx)
         clean: dict = {}
         for t, c in terms.items():
             if isinstance(t, str):
                 t = parse_tree(t, ctx)
-            if t not in index:
+            i = index.get(t)
+            if i is None:
                 raise GradingError(
                     f"{tree_str(t, ctx.symbols)} is not a basis tree at step {ctx.step}"
                 )
             if isinstance(c, (int, float, str)):
                 c = as_fraction(c)
             if c:
-                clean[t] = c
+                # the basis tree itself, so that a parsed tree is not kept
+                # as a second copy and look-ups find it by identity
+                clean[basis[i]] = c
         self.ctx = ctx
         self.terms = clean
 

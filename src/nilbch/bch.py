@@ -18,7 +18,7 @@ the table route. All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from . import series
 from .algebra import (
@@ -65,25 +65,45 @@ _LAW: dict = {}
 
 
 def _law_table(step: int) -> tuple:
-    """(pattern, coefficient) pairs of bch(x1, x2) - x1 - x2 on two letters,
-    ordered by degree and then pattern. Built by the series route, as bch
-    itself reads this table."""
+    """(den, entries): the coefficients of bch(x1, x2) - x1 - x2 on two
+    letters as integer numerators over one common denominator, entries
+    (pattern, numerator) ordered by degree and then pattern. Built by the
+    series route, as bch itself reads this table."""
     got = _LAW.get(step)
     if got is None:
         ctx = AlgebraContext(2, step)
         x, y = ctx.generators()
         defect = _bch_series(x, y) - x - y
-        got = _LAW[step] = tuple(
+        table = [
             entry
             for j in range(2, step + 1)
             for entry in sorted(rightnormed_decomposition(defect, j).items())
-        )
+        ]
+        den = lcm(*(c.denominator for _, c in table))
+        got = _LAW[step] = (den, tuple((alpha, int(c * den)) for alpha, c in table))
     return got
+
+
+def _integral(terms: dict) -> tuple:
+    """(s, s * terms): rational coefficients become ints over their least
+    common denominator s; other coefficients (QPoly) stay as they are, s = 1."""
+    if all(isinstance(c, (int, Fraction)) for c in terms.values()):
+        # a list, not a generator: a tuple grown from a generator is
+        # reallocated, and the tuple free list then keeps it when it dies
+        s = lcm(*[c.denominator for c in terms.values()])
+        return s, {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
+    return 1, terms
 
 
 def bch(x: LieElement, y: LieElement) -> LieElement:
     """log of exp(x) exp(y), truncated at the context step: x + y plus the
-    step's law table evaluated at (x, y)."""
+    step's law table evaluated at (x, y).
+
+    The sum, x and y included, is kept in ints, as multiples of 1/scale with
+    scale = den * sx**step * sy**step: for x = X/sx and y = Y/sy with
+    integral X and Y, a pattern naming x i times and y j times is its value
+    at (X, Y) over sx**i * sy**j, and i, j <= step. One Fraction per
+    coordinate is built at the end."""
     if x.ctx != y.ctx:
         raise ContextMismatchError(f"cannot compose elements of {x.ctx} and {y.ctx}")
     if x.is_zero:
@@ -91,11 +111,17 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     if y.is_zero:
         return x
     step = x.ctx.step
-    args = (None, x.terms, y.terms)  # patterns name x and y as 1 and 2
+    den, table = _law_table(step)
+    sx, xs = _integral(x.terms)
+    sy, ys = _integral(y.terms)
+    # px[i] * py[j] lifts a value over den * sx**i * sy**j to the scale
+    px = [sx ** (step - i) for i in range(step + 1)]
+    py = [sy ** (step - j) for j in range(step + 1)]
+    args = (None, xs, ys)  # patterns name x and y as 1 and 2
     # right-normed brackets of shared suffixes, evaluated once per call
     memo: dict = {}
-    out = (x + y).terms
-    for alpha, c in _law_table(step):
+    out: dict = {}
+    for alpha, num in (((1,), den), ((2,), den), *table):
         val = args[alpha[-1]]
         for k in range(len(alpha) - 2, -1, -1):
             suffix = alpha[k:]
@@ -103,10 +129,20 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
             if got is None:
                 got = memo[suffix] = bracket_coords(args[alpha[k]], val, step)
             val = got
+        i = alpha.count(1)
+        c = num * px[i] * py[len(alpha) - i]
         for t, v in val.items():
             cur = out.get(t)
             out[t] = v * c if cur is None else cur + v * c
-    return LieElement._raw(x.ctx, {t: c for t, c in out.items() if c})
+    scale = den * px[0] * py[0]
+    return LieElement._raw(
+        x.ctx,
+        {
+            t: Fraction(v, scale) if isinstance(v, (int, Fraction)) else v / scale
+            for t, v in out.items()
+            if v
+        },
+    )
 
 
 def multi_bch(elements) -> LieElement:
@@ -143,4 +179,5 @@ def bch_tail_table(ctx: AlgebraContext) -> dict:
     """
     if ctx.num_generators != 2:
         raise GradingError("the tail table is defined over exactly two generators")
-    return {alpha: -c for alpha, c in _law_table(ctx.step)}
+    den, table = _law_table(ctx.step)
+    return {alpha: Fraction(-num, den) for alpha, num in table}

@@ -11,7 +11,6 @@ independent of set-hash order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .errors import InternalInvariantError, SizeCapError
@@ -28,19 +27,22 @@ from .matrices import (
     nil_bracket,
     nil_zero,
 )
+from .record import Record
 
 DEFAULT_SIZE_CAP = 2 * 10**6
 
 
-@dataclass(frozen=True)
-class FiniteGroupSet:
-    """A finite set of unipotent matrices. It keeps the powers A^1, A^2, ...
-    it has enumerated, as frozensets, so later checks on the same set reuse
-    them."""
+class FiniteGroupSet(Record):
+    """A finite set of unipotent matrices. It keeps what later checks on the
+    same set reuse, all as frozensets: the powers A^1, A^2, ... it has
+    enumerated, the log sets of those powers, and the levels of its bracket
+    chain."""
 
-    dim: int
-    elements: frozenset
-    _kept: list = field(default_factory=list, init=False, compare=False, repr=False)
+    __slots__ = ("dim", "elements", "_kept")
+
+    def __init__(self, dim: int, elements: frozenset):
+        super().__init__(dim, elements)
+        object.__setattr__(self, "_kept", {"powers": [elements], "logs": {}, "chain": []})
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -52,43 +54,35 @@ class FiniteGroupSet:
         return m in self.elements
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(Record):
     """Greedy covering of AA by translates of A; k bounds the multiplicative
     constant from above."""
 
-    size_a: int
-    size_aa: int
-    k: int
-    translates: tuple[UnipotentMatrix, ...]
+    __slots__ = ("size_a", "size_aa", "k", "translates")
 
 
-@dataclass(frozen=True)
-class SumContainmentReport:
+class SumContainmentReport(Record):
     """Exhaustive or sampled verification that scaled pairwise sums of logs
     land back in the log of a bounded power set."""
 
-    step: int
-    k1: int
-    k2: int
-    m: int
-    word_length: int
-    bound_power: int
-    checked_pairs: int
-    failures: int
-    max_witness_power: int
+    __slots__ = (
+        "step",
+        "k1",
+        "k2",
+        "m",
+        "word_length",
+        "bound_power",
+        "checked_pairs",
+        "failures",
+        "max_witness_power",
+    )
 
 
-@dataclass(frozen=True)
-class BracketContainmentReport:
+class BracketContainmentReport(Record):
     """Verification that iterated-bracket elements are witnessed inside the
     certificate sumset; witnesses list one exact decomposition per element."""
 
-    j: int
-    set_size: int
-    checked: int
-    failures: int
-    witnesses: tuple
+    __slots__ = ("j", "set_size", "checked", "failures", "witnesses")
 
 
 def _sorted(elements):
@@ -176,9 +170,7 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
     multiplies the elements new in the previous power by A; otherwise A^p is
     the literal product A^(p-1) A. Either way A^p is the literal power set.
     """
-    kept = a._kept
-    if not kept:
-        kept.append(a.elements)
+    kept = a._kept["powers"]
     nested = mat_identity(a.dim) in a.elements
     for p in range(2, k + 1):
         if p > len(kept):
@@ -206,18 +198,27 @@ def powers_up_to(
     if k < 1:
         raise ValueError("power must be at least 1")
     _power(a, k, cap)
-    return [FiniteGroupSet(a.dim, power) for power in a._kept[:k]]
+    return [FiniteGroupSet(a.dim, power) for power in a._kept["powers"][:k]]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
     return FiniteGroupSet(a.dim, frozenset(mat_inverse(x) for x in a.elements))
 
 
+def _log_power(a: FiniteGroupSet, p: int, cap: int) -> frozenset:
+    """log(A^p), taken once per power and kept on `a`."""
+    power = _power(a, p, cap)
+    logs = a._kept["logs"]
+    got = logs.get(p)
+    if got is None:
+        got = logs[p] = frozenset(mat_log(x) for x in power)
+        if len(got) != len(power):
+            raise InternalInvariantError("log collided on a finite set")
+    return got
+
+
 def log_set(a: FiniteGroupSet) -> frozenset:
-    out = frozenset(mat_log(x) for x in a.elements)
-    if len(out) != len(a.elements):
-        raise InternalInvariantError("log collided on a finite set")
-    return out
+    return _log_power(a, 1, DEFAULT_SIZE_CAP)
 
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
@@ -297,9 +298,8 @@ def check_sum_containment(
         raise ValueError("power must be at least 1")
     sw = sum_word(n)
     bound = sw.length * max(k1, k2)
-    powers = powers_up_to(a, max(k1, k2), cap=cap)
-    us = _sorted(log_set(powers[k1 - 1]))
-    vs = _sorted(log_set(powers[k2 - 1]))
+    us = _sorted(_log_power(a, k1, cap))
+    vs = _sorted(_log_power(a, k2, cap))
     pairs = _sample([(u, v) for u in us for v in vs], mode, sample_size, seed)
     targets = [nil_scale(nil_add(u, v), sw.m) for u, v in pairs]
     min_power = _find_min_powers(a, targets, bound, cap)
@@ -323,14 +323,19 @@ def compute_B_chain(
     a: FiniteGroupSet, n: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[frozenset]:
     """B_0 = log A and B_j = brackets of B_0 against B_(j-1), up to B_n.
+    The levels are kept on `a`; a kept level still meets the cap.
 
     Nilpotence forces B_n = {0} when A lives in UT(n+1, Z).
     """
-    b0 = log_set(a)
-    chain = [b0]
-    for _ in range(n):
-        chain.append(_image(nil_bracket, b0, chain[-1], "bracket set", cap))
-    return chain
+    chain = a._kept["chain"]
+    if not chain:
+        chain.append(log_set(a))
+    for j in range(1, n + 1):
+        if j < len(chain):
+            _check_cap("bracket set", len(chain[j]), cap)
+        else:
+            chain.append(_image(nil_bracket, chain[0], chain[-1], "bracket set", cap))
+    return chain[: n + 1]
 
 
 def _witness_search(target, term_sets, idx):
@@ -369,7 +374,7 @@ def check_commutator_containment(
         witnesses = tuple((x, ()) for x in _sorted(bj) if x == nil_zero(a.dim))
         return BracketContainmentReport(j, len(bj), len(bj), failures, witnesses)
     term_sets = [
-        scale_set(log_set(power_set(a, k, cap=cap)), q)
+        scale_set(_log_power(a, k, cap), q)
         for q, k in zip(cert.rationals, cert.exponents)
     ]
     # earlier sets are scanned in canonical order, the last is a lookup table

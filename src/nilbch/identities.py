@@ -23,7 +23,6 @@ yields element-free containment certificates for iterated bracket sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .linalg import invert_matrix
 from .qpoly import QPoly, T as POLY_T
+from .record import Record
 from .words import CommutatorFactor, FormalWord, SymbolFactor, make_word, word_length
 
 DEFAULT_STEP_CAP = 6
@@ -120,15 +120,12 @@ def commutator_log_tail(
 # ---------------------------------------------------------------------------
 # additive product-log decomposition
 
-@dataclass(frozen=True)
-class ProductDecomposition:
+class ProductDecomposition(Record):
     """Additive clearing record: the sum of the generator logs equals the
     product log plus sum of beta[i] * log(correction_words[i]) plus the tail,
     whose support lies strictly above the cleared level."""
 
-    beta: tuple[Fraction, ...]
-    correction_words: tuple[FormalWord, ...]
-    tail: LieElement
+    __slots__ = ("beta", "correction_words", "tail")
 
 
 def log_product_decomposition(
@@ -182,24 +179,16 @@ def log_product_decomposition(
 # ---------------------------------------------------------------------------
 # power word synthesis over Q[T]
 
-@dataclass(frozen=True)
-class SynthesisCertificate:
+class SynthesisCertificate(Record):
     """Exactness record: the log of the word plus the residual equals the
     target, and the residual is supported strictly above the cleared level
     (min_residual_degree is "exact" when the support is empty)."""
 
-    target: LieElement
-    word: FormalWord
-    residual: LieElement
-    min_residual_degree: int | str
+    __slots__ = ("target", "word", "residual", "min_residual_degree")
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
-    divisors: tuple[int, ...]
-    word: FormalWord
-    certificate: SynthesisCertificate
-    power: int
+class SynthesisResult(Record):
+    __slots__ = ("divisors", "word", "certificate", "power")
 
 
 class _SymbolicSynthesis:
@@ -377,16 +366,11 @@ def verify_synthesis(result: SynthesisResult) -> bool:
 # ---------------------------------------------------------------------------
 # sum words
 
-@dataclass(frozen=True)
-class SumWordResult:
+class SumWordResult(Record):
     """A word in two letters whose log is exactly m times the sum of the
     letter logs at the given step."""
 
-    step: int
-    m: int
-    word: FormalWord
-    length: int
-    synthesis: SynthesisResult
+    __slots__ = ("step", "m", "word", "length", "synthesis")
 
 
 _SUM_WORD_CACHE: dict = {}
@@ -422,15 +406,11 @@ def sum_word_divisor_probe(step: int) -> dict[int, bool]:
 # ---------------------------------------------------------------------------
 # bracket extraction through group operations
 
-@dataclass(frozen=True)
-class VandermondeRecipe:
+class VandermondeRecipe(Record):
     """Exact inverse of the sample-point power matrix [s^j], used to solve a
     sampled conjugation series for its graded pieces."""
 
-    n: int
-    m: int
-    inverse_matrix: tuple[tuple[Fraction, ...], ...]
-    sample_points: tuple[int, ...]
+    __slots__ = ("n", "m", "inverse_matrix", "sample_points")
 
 
 def vandermonde_recipe(n: int, m: int = 1) -> VandermondeRecipe:
@@ -485,19 +465,14 @@ def extract_bracket(
 # ---------------------------------------------------------------------------
 # containment certificates for iterated bracket sets
 
-@dataclass(frozen=True)
-class ContainmentCertificate:
+class ContainmentCertificate(Record):
     """Element-free witness recipe: every bracket of a base log against a
     depth-(j-1) iterated bracket lies in the sumset of rationals[i] times the
     log of the k_i-th power set. m and k record the intermediate single-power
     form (the scaled depth-(j-1) element exponentiates into the k-th power
     set) that the extraction step consumed."""
 
-    j: int
-    rationals: tuple[Fraction, ...]
-    exponents: tuple[int, ...]
-    m: int
-    k: int
+    __slots__ = ("j", "rationals", "exponents", "m", "k")
 
 
 def containment_certificate(j: int, ctx: AlgebraContext) -> ContainmentCertificate:

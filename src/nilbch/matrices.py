@@ -16,7 +16,6 @@ both hash alike, so equality, hashing and the `.tri` order ignore the type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -25,6 +24,7 @@ from typing import Sequence
 
 from .algebra import LieElement, as_fraction
 from .errors import GradingError
+from .record import Record
 
 Rows = tuple[tuple[int | Fraction, ...], ...]
 Tri = tuple[int | Fraction, ...]
@@ -40,14 +40,12 @@ def _zeros(d: int) -> Tri:
     return (0,) * (d * (d - 1) // 2)
 
 
-@dataclass(frozen=True, init=False)
-class _Triangular:
+class _Triangular(Record):
     """A d x d upper-triangular matrix with constant diagonal, stored as its
     triangle. The constructor checks rows given from outside; results
     computed here are built by `_raw` and skip that check."""
 
-    dim: int
-    tri: Tri
+    __slots__ = ("dim", "tri")
 
     def __init__(self, rows):
         rows = tuple(tuple(_entry(x) for x in row) for row in rows)
@@ -67,6 +65,14 @@ class _Triangular:
         object.__setattr__(m, "tri", tri)
         return m
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.tri == other.tri
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.tri))
+
     @property
     def rows(self) -> Rows:
         d, tri = self.dim, self.tri
@@ -81,12 +87,14 @@ class _Triangular:
 class NilpotentMatrix(_Triangular):
     """Strictly upper-triangular square matrix."""
 
+    __slots__ = ()
     _DIAGONAL = 0
 
 
 class UnipotentMatrix(_Triangular):
     """Upper-triangular square matrix with unit diagonal."""
 
+    __slots__ = ()
     _DIAGONAL = 1
 
 

@@ -18,45 +18,51 @@ merges adjacent equal atoms, making parse-then-serialize a canonical form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 from .errors import UnboundSymbolError, WordSyntaxError
+from .record import Record
 
 Factor = Union["SymbolFactor", "GroupFactor", "CommutatorFactor"]
 
 
-@dataclass(frozen=True)
-class SymbolFactor:
-    name: str
-    exponent: int = 1
+class SymbolFactor(Record):
+    __slots__ = ("name", "exponent")
+    _DEFAULTS = {"exponent": 1}
 
     def _atom_key(self):
         return ("sym", self.name)
 
 
-@dataclass(frozen=True)
-class GroupFactor:
-    inner: "FormalWord"
-    exponent: int = 1
+class GroupFactor(Record):
+    __slots__ = ("inner", "exponent")
+    _DEFAULTS = {"exponent": 1}
 
     def _atom_key(self):
         return ("grp", self.inner)
 
 
-@dataclass(frozen=True)
-class CommutatorFactor:
-    left: "FormalWord"
-    right: "FormalWord"
-    exponent: int = 1
+class CommutatorFactor(Record):
+    __slots__ = ("left", "right", "exponent")
+    _DEFAULTS = {"exponent": 1}
 
     def _atom_key(self):
         return ("com", self.left, self.right)
 
 
-@dataclass(frozen=True)
-class FormalWord:
-    factors: tuple[Factor, ...] = ()
+class FormalWord(Record):
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Factor, ...] = ()):
+        object.__setattr__(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     def __iter__(self):
         return iter(self.factors)

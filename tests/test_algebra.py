@@ -9,6 +9,8 @@ from nilbch.algebra import (
     AlgebraContext,
     LieElement,
     ad_power,
+    bracket_basis,
+    bracket_coords,
     dimensions_by_degree,
     eval_bracket_pattern,
     extract_lie_coords,
@@ -120,6 +122,40 @@ def test_jacobi_identity():
                 + c.bracket(a.bracket(b))
             )
             assert total.is_zero
+
+
+def all_pairs_bracket(a, b, step: int) -> dict:
+    """The bracket kernel without degree classes: every pair of terms, kept
+    when its degrees sum to at most step."""
+    out = {}
+    for t1, c1 in a.items():
+        for t2, c2 in b.items():
+            if tree_degree(t1) + tree_degree(t2) <= step:
+                for t, k in bracket_basis(t1, t2).items():
+                    out[t] = out.get(t, 0) + c1 * c2 * k
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("letters,step", [(2, 5), (3, 4)])
+def test_bracket_kernel_matches_all_pairs_reference(letters, step):
+    rng = Random(f"algebra:kernel:{letters}:{step}")
+    ctx = AlgebraContext(letters, step)
+    x = ctx.generators()
+    # pairs whose terms cancel: [s, s] = 0 and [s, -s/3] = 0
+    s = x[0] + x[1] + x[0].bracket(x[1])
+    cases = [(s, s), (x[0], s), (s, s * Fraction(-1, 3))]
+    for _ in range(8):
+        a, b = random_element(ctx, rng), random_element(ctx, rng)
+        cases += [(a, b), (a, a + b), (a, a * Fraction(5, 7))]
+    # int coefficients, one of them a stored 0
+    ints = {t: k for k, t in enumerate(hall_basis(ctx), start=-3)}
+    cases.append((LieElement._raw(ctx, ints), LieElement._raw(ctx, ints)))
+    for a, b in cases:
+        for cut in range(1, step + 1):
+            got = bracket_coords(a.terms, b.terms, cut)
+            assert got == all_pairs_bracket(a.terms, b.terms, cut)
+            assert all(got.values())
+            assert got == {t: -c for t, c in bracket_coords(b.terms, a.terms, cut).items()}
 
 
 def test_bracket_grading():

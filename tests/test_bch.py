@@ -6,7 +6,7 @@ from functools import reduce
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from nilbch import identities
 from nilbch.algebra import (
@@ -136,9 +136,19 @@ def test_bch_bilinear_degree_one():
     assert z.degree_component(1) == x + y
 
 
-# the table route against the series route it is compiled from
-_SETTINGS = settings(max_examples=10, deadline=None, derandomize=True, database=None)
+# the table route against the series route it is compiled from; a failing
+# example is reported as drawn, not shrunk, so a wrong law fails in seconds
+_SETTINGS = settings(
+    max_examples=10,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
 _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# large, mostly coprime denominators, such as 1/7 and 1/720: the scales bch
+# clears them with grow with every letter a pattern names
+_WIDE_RATIONALS = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
 _POLYS = st.lists(_RATIONALS, min_size=1, max_size=3).map(QPoly)
 
 
@@ -164,6 +174,15 @@ def test_table_route_matches_series_route(letters, step, data):
     assert bch(x, y) == _bch_series(x, y)
 
 
+@pytest.mark.parametrize("letters,step", [(1, 3), (2, 3), (2, 4), (2, 6), (3, 4)])
+@_SETTINGS
+@given(data=st.data())
+def test_table_route_matches_series_route_on_wide_denominators(letters, step, data):
+    ctx = AlgebraContext(letters, step)
+    x, y = data.draw(_element(ctx, _WIDE_RATIONALS)), data.draw(_element(ctx, _WIDE_RATIONALS))
+    assert bch(x, y) == _bch_series(x, y)
+
+
 @pytest.mark.parametrize("letters,step", [(2, 3), (2, 5), (3, 3)])
 @_SETTINGS
 @given(data=st.data())
@@ -171,6 +190,28 @@ def test_table_route_matches_series_route_on_polynomials(letters, step, data):
     ctx = AlgebraContext(letters, step)
     x, y = data.draw(_element(ctx, _POLYS)), data.draw(_element(ctx, _POLYS))
     assert bch(x, y) == _bch_series(x, y)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_table_route_matches_series_route_on_a_mixed_pair(data):
+    # rational coefficients are cleared to ints, QPoly ones are not
+    ctx = AlgebraContext(2, 4)
+    x, y = data.draw(_element(ctx, _RATIONALS)), data.draw(_element(ctx, _POLYS))
+    assert bch(x, y) == _bch_series(x, y)
+    assert bch(y, x) == _bch_series(y, x)
+
+
+@pytest.mark.parametrize("letters,step", [(2, 4), (3, 3)])
+def test_rational_composition_has_nonzero_fraction_coefficients(letters, step):
+    ctx = AlgebraContext(letters, step)
+    rng = Random("bch:types")
+    # int coefficients in, as an element built without the constructor has
+    ints = LieElement._raw(ctx, {i: i + 1 for i in range(letters)})
+    for _ in range(5):
+        x, y = random_element(ctx, rng), random_element(ctx, rng)
+        for z in (bch(x, y), bch(x, -x), bch(x, ints), bch(ints, ints), bch(x, y - x)):
+            assert all(type(c) is Fraction and c for c in z.terms.values())
 
 
 @pytest.mark.parametrize("letters,step", [(2, 6), (3, 4)])
@@ -211,13 +252,14 @@ def test_verify_suite_catches_a_wrong_law_table(monkeypatch, wrong):
     oracle inside the associativity check can tell from the true law."""
     step = 3
     bch_module = importlib.import_module("nilbch.bch")
-    table = list(bch_module._law_table(step))
+    den, entries = bch_module._law_table(step)
+    table = list(entries)
     if wrong == "flip":
-        alpha, c = table[-1]
-        table[-1] = (alpha, -c)
+        alpha, num = table[-1]
+        table[-1] = (alpha, -num)
     else:
-        table = [(alpha, c * 2 ** (len(alpha) - 1)) for alpha, c in table]
-    monkeypatch.setitem(bch_module._LAW, step, tuple(table))
+        table = [(alpha, num * 2 ** (len(alpha) - 1)) for alpha, num in table]
+    monkeypatch.setitem(bch_module._LAW, step, (den, tuple(table)))
     # identities memoises results computed with bch; keep them out of later tests
     for name, value in list(vars(identities).items()):
         if name.startswith("_") and name.isupper() and isinstance(value, dict):

@@ -343,3 +343,12 @@ def test_console_entry_point_runs():
     assert out.returncode == 0, out.stderr.decode()
     assert json.loads(out.stdout)["m"] == 1
     assert out.stdout == run_python(["-m", "nilbch", *argv]).stdout
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about
+    # 1 MB and 15-30 ms on every start of the CLI
+    probe = "import sys, nilbch, nilbch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = run_python(["-c", probe], text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -1,11 +1,15 @@
 """Finite-set growth lab on unipotent matrix groups."""
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from nilbch import growth
 from nilbch.algebra import AlgebraContext
+from nilbch.cli import main
 from nilbch.errors import SizeCapError
 from nilbch.growth import (
     FiniteGroupSet,
@@ -29,6 +33,7 @@ from nilbch.matrices import (
     mat_log,
     mat_mul,
     nil_add,
+    nil_bracket,
     nil_scale,
     nil_zero,
 )
@@ -156,7 +161,37 @@ def test_kept_powers_serve_later_checks(monkeypatch):
     assert check_commutator_containment(a, 1, cert).failures == 0
     assert calls == []
     # only frozensets are kept, so a set never holds itself
-    assert all(type(s) is frozenset for s in a._kept)
+    kept = a._kept
+    assert all(
+        type(s) is frozenset
+        for s in (*kept["powers"], *kept["logs"].values(), *kept["chain"])
+    )
+
+
+def test_report_takes_each_log_set_and_the_chain_once(monkeypatch):
+    # one growth report: log(A^p) once for each power p that the sum and
+    # bracket checks read, and the brackets of B_1..B_n once
+    logs, brackets = [], []
+
+    def counted_log(x):
+        logs.append(x)
+        return mat_log(x)
+
+    def counted_bracket(x, y):
+        brackets.append(1)
+        return nil_bracket(x, y)
+
+    monkeypatch.setattr(growth, "mat_log", counted_log)
+    monkeypatch.setattr(growth, "nil_bracket", counted_bracket)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["growth", "--dim", "3", "--radius", "1", "--powers", "2,1"]) == 0
+    sizes = json.loads(out.getvalue())["b_chain"]["sizes"]
+    a = heisenberg_ball(1)
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    read = {1, 2, *cert.exponents}
+    assert len(logs) == sum(len(power_set(a, p)) for p in read)
+    assert len(brackets) == sizes[0] * sum(sizes[:-1])
 
 
 def test_kept_power_still_meets_the_cap():
@@ -165,6 +200,14 @@ def test_kept_power_still_meets_the_cap():
     with pytest.raises(SizeCapError) as err:
         powers_up_to(a, 3, cap=20)
     assert (err.value.size, err.value.cap) == (53, 20)
+
+
+def test_kept_chain_level_still_meets_the_cap():
+    a = heisenberg_ball(1)
+    size = len(compute_B_chain(a, 2)[1])
+    with pytest.raises(SizeCapError) as err:
+        compute_B_chain(a, 2, cap=size - 1)
+    assert (err.value.what, err.value.size, err.value.cap) == ("bracket set", size, size - 1)
 
 
 def test_inverse_set_of_symmetric_ball_is_itself():
