@@ -79,7 +79,7 @@ def _law_table(step: int) -> tuple:
             for j in range(2, step + 1)
             for entry in sorted(rightnormed_decomposition(defect, j).items())
         ]
-        den = lcm(*(c.denominator for _, c in table))
+        den = lcm(*[c.denominator for _, c in table])
         got = _LAW[step] = (den, tuple((alpha, int(c * den)) for alpha, c in table))
     return got
 

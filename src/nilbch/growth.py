@@ -339,12 +339,13 @@ def compute_B_chain(
 
 
 def _witness_search(target, term_sets, idx):
-    """First (canonical order) decomposition of target across the term sets."""
-    s = term_sets[idx]
+    """First (canonical order) decomposition of target across the term sets.
+    Every set but the last is a list of (t, -t) in canonical order; the last
+    is a lookup table."""
     if idx == len(term_sets) - 1:
-        return (target,) if target in s else None
-    for t in s:
-        rest = _witness_search(nil_add(target, nil_scale(t, -1)), term_sets, idx + 1)
+        return (target,) if target in term_sets[idx] else None
+    for t, minus_t in term_sets[idx]:
+        rest = _witness_search(nil_add(target, minus_t), term_sets, idx + 1)
         if rest is not None:
             return (t,) + rest
     return None
@@ -377,8 +378,8 @@ def check_commutator_containment(
         scale_set(_log_power(a, k, cap), q)
         for q, k in zip(cert.rationals, cert.exponents)
     ]
-    # earlier sets are scanned in canonical order, the last is a lookup table
-    term_sets[:-1] = [_sorted(s) for s in term_sets[:-1]]
+    # earlier sets are scanned in canonical order, each term negated once
+    term_sets[:-1] = [[(t, nil_scale(t, -1)) for t in _sorted(s)] for s in term_sets[:-1]]
     targets = _sample(_sorted(bj), mode, sample_size, seed)
     results = [(x, _witness_search(x, term_sets, 0)) for x in targets]
     failures = sum(1 for _, w in results if w is None)

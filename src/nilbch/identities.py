@@ -153,7 +153,7 @@ def log_product_decomposition(
             betas.append(Fraction(1))
             words.append(FormalWord(()))
             continue
-        beta = Fraction(1, lcm(*(c.denominator for c in table.values())))
+        beta = Fraction(1, lcm(*[c.denominator for c in table.values()]))
         factors = []
         for alpha in sorted(table):
             m = table[alpha] / beta
@@ -495,7 +495,7 @@ def containment_certificate(j: int, ctx: AlgebraContext) -> ContainmentCertifica
     else:
         prev = containment_certificate(j - 1, ctx)
         prev_q, prev_k = prev.rationals, prev.exponents
-    scale = lcm(*(q.denominator for q in prev_q))
+    scale = lcm(*[q.denominator for q in prev_q])
     entries = [int(q * scale) for q in prev_q]
     m = scale
     power = prev_k[0] * abs(entries[0])

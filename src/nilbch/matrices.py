@@ -7,19 +7,30 @@ more such matrices vanish. The substitution homomorphism doubles as an
 independent check on every symbolic identity in the package.
 
 Both types store only the d(d-1)/2 entries above the diagonal, row by row
-(the triangle): N for a nilpotent N and for a unipotent I + N. One product
-over i < k < j and one truncated power series carry the whole group law;
-`.rows` rebuilds the full d x d form. An integral entry is stored as an int
-and any other as a Fraction, so UT(d, Z) stays in ints; Fraction(2) == 2 and
-both hash alike, so equality, hashing and the `.tri` order ignore the type.
+(the triangle): N for a nilpotent N and for a unipotent I + N; `.rows`
+rebuilds the full d x d form. Three products over i < k < j carry the whole
+group law: x + y + xy (mat_mul), base + xy (the series) and xy - yx
+(nil_bracket). Each is generated once per dimension as straight-line code,
+one tuple display built from the triangle's index pairs, and cached. One
+truncated series gives exp, log and the inverse; it clears the entries'
+common denominator and the coefficients' denominators, runs Horner's rule in
+ints and divides each entry once at the end.
+
+Entries are ints where integral and Fractions otherwise: the constructor,
+exp, log, the inverse and nil_scale store every integral entry as an int,
+and sums and products of int triangles stay ints, so UT(d, Z) never leaves
+ints. A sum or product of Fraction entries may keep an integral value as a
+Fraction; Fraction(2) == 2 and both hash alike, so equality, hashing and the
+`.tri` order ignore the type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 from operator import add
+from types import SimpleNamespace
 from typing import Sequence
 
 from .algebra import LieElement, as_fraction
@@ -61,8 +72,8 @@ class _Triangular(Record):
     @classmethod
     def _raw(cls, dim: int, tri: Tri):
         m = object.__new__(cls)
-        object.__setattr__(m, "dim", dim)
-        object.__setattr__(m, "tri", tri)
+        _set_dim(m, dim)
+        _set_tri(m, tri)
         return m
 
     def __eq__(self, other):
@@ -82,6 +93,10 @@ class _Triangular(Record):
             out.append((0,) * i + (self._DIAGONAL,) + tri[t : t + width])
             t += width
         return tuple(out)
+
+
+# the slots' own setters: the fastest way past Record's refusal to assign
+_set_dim, _set_tri = _Triangular.dim.__set__, _Triangular.tri.__set__
 
 
 class NilpotentMatrix(_Triangular):
@@ -111,23 +126,92 @@ def _pairs(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
-def _tri_mul(d: int, x: Tri, y: Tri, base: Tri) -> Tri:
-    """Triangle of base + x y for strictly upper-triangular x and y: entry
-    (i, j) is base_ij plus the sum of x_ik y_kj over i < k < j."""
-    return tuple(
-        sum([x[p] * y[q] for p, q in ks], base[t]) for t, ks in enumerate(_pairs(d))
+@cache
+def _kernels(d: int) -> SimpleNamespace:
+    """The triangle products at dimension d as straight-line functions, each
+    one tuple display, compiled once from the indices of `_pairs(d)`:
+    mul(x, y) = x + y + xy, prod(x, y, base) = base + xy and
+    bracket(x, y) = xy - yx, for strictly upper-triangular x and y."""
+    pairs = _pairs(d)
+    n = len(pairs)
+
+    def products(ks, term="x{p} * y{q}"):
+        return [term.format(p=p, q=q) for p, q in ks]
+
+    mul = [" + ".join([f"x{t}", f"y{t}", *products(ks)]) for t, ks in enumerate(pairs)]
+    prod = [" + ".join([f"b{t}", *products(ks)]) for t, ks in enumerate(pairs)]
+    bracket = [" + ".join(products(ks, "x{p} * y{q} - y{p} * x{q}")) or "0" for ks in pairs]
+
+    def unpack(*names):
+        if not n:  # d = 1: nothing to unpack, every display is ()
+            return ""
+        return "".join(f"    {''.join(f'{v}{t}, ' for t in range(n))}= {v}\n" for v in names)
+
+    def display(entries):
+        return f"    return ({''.join(f'{e}, ' for e in entries)})\n"
+
+    source = (
+        f"def mul(x, y):\n{unpack('x', 'y')}{display(mul)}"
+        f"def prod(x, y, b):\n{unpack('x', 'y', 'b')}{display(prod)}"
+        f"def bracket(x, y):\n{unpack('x', 'y')}{display(bracket)}"
     )
+    namespace: dict = {}
+    exec(compile(source, f"<triangle kernels d={d}>", "exec"), namespace)
+    return SimpleNamespace(**{k: namespace[k] for k in ("mul", "prod", "bracket")})
+
+
+def _numerators(tri: Tri) -> tuple[Sequence[int], int]:
+    """(M, D): the entries as ints M over their least common denominator D."""
+    den = lcm(*[v.denominator for v in tri])
+    if den == 1:
+        return [v.numerator for v in tri], 1
+    return [v.numerator * (den // v.denominator) for v in tri], den
+
+
+def _quotients(nums, den: int) -> Tri:
+    """nums / den entrywise: an int where den divides, else a Fraction."""
+    if den == 1:
+        return tuple(nums)
+    return tuple([v // den if not v % den else Fraction(v, den) for v in nums])
+
+
+def _exp_coeff(k: int) -> Fraction:
+    return Fraction(1, factorial(k))
+
+
+def _log_coeff(k: int) -> Fraction:
+    return Fraction((-1) ** (k + 1), k)
+
+
+def _inverse_coeff(k: int) -> int:
+    return (-1) ** k
+
+
+@cache
+def _integer_coeffs(coeff, d: int) -> tuple[int, tuple[int, ...]]:
+    """L and the ints L c_k for 0 < k < d, L the lcm of the denominators of
+    c_k = coeff(k)."""
+    cs = [Fraction(coeff(k)) for k in range(1, d)]
+    lcd = lcm(*[c.denominator for c in cs])
+    return lcd, tuple([c.numerator * (lcd // c.denominator) for c in cs])
 
 
 def _series(d: int, n: Tri, coeff) -> Tri:
     """Triangle of the sum of coeff(k) N^k over 0 < k < d, the whole series
-    since N^d = 0, by Horner's rule: N (c_1 + N (c_2 + ... + N c_(d-1)))."""
-    acc = ()
+    since N^d = 0, in ints. With N = M / D (D the common denominator of the
+    entries) and c_k = a_k / L, the sum is S / (L D^(d-1)) where, by Horner's
+    rule, S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))); each
+    entry is divided once at the end."""
+    lcd, a = _integer_coeffs(coeff, d)
+    m, den = _numerators(n)
+    prod = _kernels(d).prod
+    acc, scale = [], 1
     for k in range(d - 1, 0, -1):
-        c = coeff(k)
-        term = tuple(v * c for v in n)
-        acc = _tri_mul(d, n, acc, term) if acc else term
-    return acc
+        c = a[k - 1] * scale
+        base = [v * c for v in m]
+        acc = prod(m, acc, base) if acc else base
+        scale *= den
+    return _quotients(acc, lcd * scale)
 
 
 def _dim(kind: type, *ms) -> int:
@@ -148,14 +232,14 @@ def mat_identity(d: int) -> UnipotentMatrix:
 
 def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
     """(I + a)(I + b) = I + (a + b + ab) on the triangles."""
-    d, x, y = _dim(UnipotentMatrix, a, b), a.tri, b.tri
-    return UnipotentMatrix._raw(d, _tri_mul(d, x, y, tuple(map(add, x, y))))
+    d = _dim(UnipotentMatrix, a, b)
+    return UnipotentMatrix._raw(d, _kernels(d).mul(a.tri, b.tri))
 
 
 def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
     """Inverse by the finite Neumann series of the nilpotent part."""
     d = _dim(UnipotentMatrix, a)
-    return UnipotentMatrix._raw(d, _series(d, a.tri, lambda k: (-1) ** k))
+    return UnipotentMatrix._raw(d, _series(d, a.tri, _inverse_coeff))
 
 
 def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
@@ -174,14 +258,14 @@ def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
 def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
     """Exponential as the finite sum of powers over factorials."""
     d = _dim(NilpotentMatrix, n)
-    tri = _series(d, n.tri, lambda k: Fraction(1, factorial(k)))
+    tri = _series(d, n.tri, _exp_coeff)
     return UnipotentMatrix._raw(d, tri)
 
 
 def mat_log(u: UnipotentMatrix) -> NilpotentMatrix:
     """Logarithm as the finite alternating sum of powers of (u - 1)."""
     d = _dim(UnipotentMatrix, u)
-    tri = _series(d, u.tri, lambda k: Fraction((-1) ** (k + 1), k))
+    tri = _series(d, u.tri, _log_coeff)
     return NilpotentMatrix._raw(d, tri)
 
 
@@ -191,14 +275,18 @@ def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
 
 
 def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
-    d, c = _dim(NilpotentMatrix, a), as_fraction(c)
-    return NilpotentMatrix._raw(d, tuple(v * c for v in a.tri))
+    """c a, in ints over the common denominator of a's entries and c."""
+    d = _dim(NilpotentMatrix, a)
+    if type(c) is not int:
+        c = as_fraction(c)
+    m, den = _numerators(a.tri)
+    p = c.numerator
+    return NilpotentMatrix._raw(d, _quotients([v * p for v in m], den * c.denominator))
 
 
 def nil_bracket(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
-    d, x, y = _dim(NilpotentMatrix, a, b), a.tri, b.tri
-    minus_yx = tuple(-v for v in _tri_mul(d, y, x, _zeros(d)))
-    return NilpotentMatrix._raw(d, _tri_mul(d, x, y, minus_yx))
+    d = _dim(NilpotentMatrix, a, b)
+    return NilpotentMatrix._raw(d, _kernels(d).bracket(a.tri, b.tri))
 
 
 def nil_zero(d: int) -> NilpotentMatrix:
@@ -246,13 +334,13 @@ def substitute(
 
 def random_nilpotent(d: int, rng, denominators: tuple[int, ...] = (1, 2)) -> NilpotentMatrix:
     """Random strictly upper-triangular matrix with small rational entries."""
-    tri = (Fraction(rng.randint(-2, 2), rng.choice(denominators)) for _ in _zeros(d))
+    tri = [_entry(Fraction(rng.randint(-2, 2), rng.choice(denominators))) for _ in _zeros(d)]
     return NilpotentMatrix._raw(d, tuple(tri))
 
 
 def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
     """Random unipotent matrix with small integer entries above the diagonal."""
-    tri = (rng.randint(-entry_range, entry_range) for _ in _zeros(d))
+    tri = [rng.randint(-entry_range, entry_range) for _ in _zeros(d)]
     return UnipotentMatrix._raw(d, tuple(tri))
 
 

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -29,7 +30,9 @@ from nilbch.growth import (
 )
 from nilbch.identities import containment_certificate
 from nilbch.matrices import (
+    UnipotentMatrix,
     mat_identity,
+    mat_inverse,
     mat_log,
     mat_mul,
     nil_add,
@@ -342,6 +345,62 @@ def test_commutator_containment_trivial_level():
     cert = containment_certificate(2, AlgebraContext(2, 2))
     report = check_commutator_containment(a, 2, cert)
     assert report.failures == 0
+
+
+def witness_search_unhoisted(target, term_sets, idx):
+    """The witness search as it was before the scanned terms were negated
+    once per report: every step negates its term again."""
+    s = term_sets[idx]
+    if idx == len(term_sets) - 1:
+        return (target,) if target in s else None
+    for t in s:
+        rest = witness_search_unhoisted(nil_add(target, nil_scale(t, -1)), term_sets, idx + 1)
+        if rest is not None:
+            return (t,) + rest
+    return None
+
+
+def witnesses_by_reference(a, j, cert) -> tuple:
+    """The exhaustive witnesses of B_j, from the unhoisted search over the
+    term sets built from the public power and log sets."""
+    term_sets = [
+        scale_set(log_set(power_set(a, k)), q) for q, k in zip(cert.rationals, cert.exponents)
+    ]
+    term_sets[:-1] = [sorted(s, key=lambda m: m.tri) for s in term_sets[:-1]]
+    targets = sorted(compute_B_chain(a, j)[j], key=lambda m: m.tri)
+    results = [(x, witness_search_unhoisted(x, term_sets, 0)) for x in targets]
+    return tuple((x, w) for x, w in results if w is not None)
+
+
+def heisenberg_image_ball(seed: int):
+    """The radius-1 ball on the images of e12 and e23 under a seeded
+    automorphism of UT(3, Z): an invertible integer 2x2 matrix on the
+    abelianization and any centre parts, as the growth benchmark draws them."""
+    rng = Random(f"growth:witness:{seed}")
+    while True:
+        p, q, r, s = (rng.randint(-2, 2) for _ in range(4))
+        if abs(p * s - q * r) == 1:
+            break
+    gens = [
+        UnipotentMatrix(((1, p, rng.randint(-2, 2)), (0, 1, r), (0, 0, 1))),
+        UnipotentMatrix(((1, q, rng.randint(-2, 2)), (0, 1, s), (0, 0, 1))),
+    ]
+    return generate_ball(3, gens + [mat_inverse(g) for g in gens], 1)
+
+
+WITNESS_SETS = {
+    "ball": lambda: heisenberg_ball(1),
+    "ball2": lambda: heisenberg_ball(2),
+    **{f"image{seed}": lambda seed=seed: heisenberg_image_ball(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_SETS)
+def test_commutator_witnesses_match_unhoisted_search(name):
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    want = witnesses_by_reference(WITNESS_SETS[name](), 1, cert)
+    report = check_commutator_containment(WITNESS_SETS[name](), 1, cert)
+    assert want and report.witnesses == want
 
 
 def test_size_cap_trips():

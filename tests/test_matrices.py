@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import factorial
+from operator import add
 from random import Random
 
 import pytest
@@ -12,6 +13,12 @@ from nilbch.growth import generate_ball, ut_generators
 from nilbch.matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
+    _exp_coeff,
+    _inverse_coeff,
+    _kernels,
+    _log_coeff,
+    _pairs,
+    _series,
     mat_exp,
     mat_identity,
     mat_inverse,
@@ -270,6 +277,13 @@ def test_integral_entries_are_ints():
         twin = UnipotentMatrix([[F(e) for e in row] for row in a.rows])
         assert ints(twin) and twin == a and hash(twin) == hash(a)
         assert twin.tri == a.tri and hash(twin.tri) == hash(a.tri)
+        # exp, log, scaling, sums and brackets keep every integral entry an int
+        x = random_triangular(NilpotentMatrix, d, "int", rng)
+        y = random_triangular(NilpotentMatrix, d, "int", rng)
+        assert ints(nil_scale(x, 2)) and ints(nil_scale(x, -1))
+        assert ints(nil_add(x, y)) and ints(nil_bracket(x, y))
+        for m in (mat_log(a), mat_exp(x), mat_log(mat_exp(x)), random_nilpotent(d, rng)):
+            assert all(type(e) is int for e in m.tri if e.denominator == 1)
     # integral values of any exact type are stored as ints, others as Fractions
     u = UnipotentMatrix(((1, F(4, 2), "3"), (0, 1, "1/2"), (0, 0, 1)))
     assert [type(e) for e in u.tri] == [int, int, Fraction] and u.tri == (2, 3, F(1, 2))
@@ -278,6 +292,8 @@ def test_integral_entries_are_ints():
     e23 = UnipotentMatrix(((1, 0, 0), (0, 1, 1), (0, 0, 1)))
     assert mat_log(mat_mul(e12, e23)).tri == (1, F(1, 2), 1)
     assert mat_exp(mat_log(mat_mul(e12, e23))) == mat_mul(e12, e23)
+    assert [type(e) for e in mat_log(e12).tri] == [int, int, int]
+    assert [type(e) for e in mat_log(mat_mul(e12, e23)).tri] == [int, Fraction, int]
     for bad in (0.5, 1.0):
         with pytest.raises(ValueError):
             UnipotentMatrix(((1, bad), (0, 1)))
@@ -317,3 +333,65 @@ def test_representation_contract():
     assert mat_mul(one, one) == mat_power(one, -3) == mat_inverse(one) == one
     assert mat_log(one) == nil_zero(1) and mat_exp(nil_zero(1)) == one
     assert nil_bracket(nil_zero(1), nil_zero(1)).rows == ((0,),)
+
+
+# References for the generated kernels and the integer series, in the
+# plainest form: a generic loop over the (i, k), (k, j) index pairs, and
+# Horner's rule with the Fraction coefficients themselves.
+
+
+def loop_tri_mul(d, x, y, base):
+    return tuple(
+        sum([x[p] * y[q] for p, q in ks], base[t]) for t, ks in enumerate(_pairs(d))
+    )
+
+
+def loop_bracket(d, x, y):
+    minus_yx = tuple(-v for v in loop_tri_mul(d, y, x, (0,) * len(x)))
+    return loop_tri_mul(d, x, y, minus_yx)
+
+
+def fraction_series(d, n, coeff):
+    acc = ()
+    for k in range(d - 1, 0, -1):
+        c = coeff(k)
+        term = tuple(v * c for v in n)
+        acc = loop_tri_mul(d, n, acc, term) if acc else term
+    return acc
+
+
+def random_operand(d, kind, rng):
+    """A triangle of ints, of p/q, of ints near 10^30, or of all three."""
+
+    def entry(kind):
+        if kind == "mixed":
+            kind = rng.choice(("int", "rational", "big"))
+        if kind == "big":
+            return rng.randint(-(10**30), 10**30)
+        return random_entry(kind, rng)
+
+    return tuple(entry(kind) for _ in range(d * (d - 1) // 2))
+
+
+def typed(tri):
+    return [(v, type(v)) for v in tri]
+
+
+def canonical(tri):
+    """The entries as the matrices store them: integral values as ints."""
+    return tuple(v.numerator if v.denominator == 1 else v for v in tri)
+
+
+@pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])
+def test_generated_kernels_and_integer_series_match_references(kind):
+    rng = Random(f"matrices:kernels:{kind}")
+    for d in range(1, 9):
+        kernels = _kernels(d)
+        for _ in range(3):
+            x, y, base = (random_operand(d, kind, rng) for _ in range(3))
+            assert kernels.mul(x, y) == loop_tri_mul(d, x, y, tuple(map(add, x, y)))
+            assert kernels.prod(x, y, base) == loop_tri_mul(d, x, y, base)
+            assert kernels.bracket(x, y) == loop_bracket(d, x, y)
+            for coeff in (_exp_coeff, _log_coeff, _inverse_coeff):
+                want = fraction_series(d, x, coeff)
+                assert typed(_series(d, x, coeff)) == typed(canonical(want))
