@@ -3,28 +3,34 @@
 Everything here is exact finite-set arithmetic: balls are enumerated by
 breadth-first search, product sets and log-set sumsets are literal, and the
 containment checks assert the identities that the word synthesis and the
-containment certificates promise. Iteration is always over canonically
-sorted elements (row-major entry order), so reports are deterministic and
-independent of set-hash order.
+containment certificates promise. The loops run on triangles (`.tri`
+tuples) with the kernels and series of `matrices`; a matrix is built only for
+what a public function returns, in the order first made. The greedy cover
+recounts a candidate only when it tops a heap of stale counts. Reports read
+canonically sorted triangles (row-major entry order), so they are
+deterministic and independent of set-hash order.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .errors import InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
 from .matrices import (
+    NilpotentMatrix,
     UnipotentMatrix,
-    mat_exp,
-    mat_identity,
+    _dim,
+    _exp_coeff,
+    _kernels,
+    _log_coeff,
+    _scale,
+    _series,
+    _zeros,
     mat_inverse,
-    mat_log,
-    mat_mul,
-    nil_add,
     nil_scale,
-    nil_bracket,
     nil_zero,
 )
 from .record import Record
@@ -33,22 +39,26 @@ DEFAULT_SIZE_CAP = 2 * 10**6
 
 
 class FiniteGroupSet(Record):
-    """A finite set of unipotent matrices. It keeps what later checks on the
-    same set reuse, all as frozensets: the powers A^1, A^2, ... it has
-    enumerated, the log sets of those powers, and the levels of its bracket
-    chain."""
+    """A finite set of unipotent matrices of one dimension. It keeps what
+    later checks on the same set reuse, all as frozensets of triangles: the
+    powers A^1, A^2, ... it has enumerated, the log sets of those powers, and
+    the levels of its bracket chain."""
 
     __slots__ = ("dim", "elements", "_kept")
 
     def __init__(self, dim: int, elements: frozenset):
+        if elements and _dim(UnipotentMatrix, *elements) != dim:
+            raise ValueError("elements must have the dimension of the set")
         super().__init__(dim, elements)
-        object.__setattr__(self, "_kept", {"powers": [elements], "logs": {}, "chain": []})
+        kept = {"powers": [frozenset(_tris(elements))], "logs": {}, "chain": []}
+        object.__setattr__(self, "_kept", kept)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self):
-        return iter(_sorted(self.elements))
+        # the triangle sorts as the full rows do: the diagonal and below are constant
+        return iter(sorted(self.elements, key=attrgetter("tri")))
 
     def __contains__(self, m) -> bool:
         return m in self.elements
@@ -85,38 +95,44 @@ class BracketContainmentReport(Record):
     __slots__ = ("j", "set_size", "checked", "failures", "witnesses")
 
 
-def _sorted(elements):
-    # the triangle sorts as the full rows do: the diagonal and below are constant
-    return sorted(elements, key=attrgetter("tri"))
-
-
 def _check_cap(what: str, size: int, cap: int):
     if size > cap:
         raise SizeCapError(what, size, cap)
 
 
-def _image(op, xs, ys, what: str, cap: int) -> frozenset:
-    """{op(x, y) : x in xs, y in ys}, with the cap checked after each x."""
-    out = set()
+def _image(op, xs, ys, what: str, cap: int) -> dict:
+    """{op(x, y) : x in xs, y in ys} as a dict in the order first made, with
+    the cap checked after each x."""
+    out: dict = {}
     for x in xs:
         for y in ys:
-            out.add(op(x, y))
+            out[op(x, y)] = None
         _check_cap(what, len(out), cap)
-    return frozenset(out)
+    return out
 
 
-def _grow(seen: set, new, factors, what: str, cap: int) -> set:
+def _grow(seen: dict, new, factors, mul, what: str, cap: int) -> list:
     """One frontier step: the products x*y (x in new, y in factors) not in
-    seen. They are added to seen and returned; the cap bounds all of seen."""
-    nxt = set()
+    seen, in the order first made. They are added to seen and returned; the
+    cap bounds all of seen."""
+    nxt = []
     for x in new:
         for y in factors:
-            h = mat_mul(x, y)
+            h = mul(x, y)
             if h not in seen:
-                seen.add(h)
-                nxt.add(h)
+                seen[h] = None
+                nxt.append(h)
     _check_cap(what, len(seen), cap)
     return nxt
+
+
+def _wrap(kind: type, d: int, tris) -> frozenset:
+    """The matrices of the triangles, added to a set in the order given."""
+    return frozenset({kind._raw(d, t) for t in tris})
+
+
+def _tris(elements) -> list:
+    return [m.tri for m in elements]
 
 
 def ut_generators(d: int) -> list[UnipotentMatrix]:
@@ -145,13 +161,17 @@ def generate_ball(
     for g in gens:
         if mat_inverse(g) not in gset:
             raise ValueError("generators must be closed under inverse")
-    seen = {mat_identity(d)}
-    frontier = set(seen)
+    mul = _kernels(d).mul
+    seen = {_zeros(d): None}
+    frontier = list(seen)
     for _ in range(radius):
-        frontier = _grow(seen, frontier, gens, "ball", cap)
-        if not frontier:
+        new = _grow(seen, frontier, _tris(gens), mul, "ball", cap)
+        if not new:
             break
-    return FiniteGroupSet(d, frozenset(seen))
+        # iterate the frontier as a set of its matrices: the ball's iteration
+        # order, and so where a later capped loop over it trips, depends on it
+        frontier = _tris({UnipotentMatrix._raw(d, t) for t in new})
+    return FiniteGroupSet(d, _wrap(UnipotentMatrix, d, seen))
 
 
 def product_set(
@@ -159,28 +179,31 @@ def product_set(
 ) -> FiniteGroupSet:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    return FiniteGroupSet(a.dim, _image(mat_mul, a.elements, b.elements, "product set", cap))
+    out = _image(_kernels(a.dim).mul, _tris(a.elements), _tris(b.elements), "product set", cap)
+    return FiniteGroupSet(a.dim, _wrap(UnipotentMatrix, a.dim, out))
 
 
 def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
-    """A^k, enumerating only the powers that `a` has not kept yet. Every A^p
-    with 1 < p <= k meets the cap, kept or not.
+    """A^k as triangles, enumerating only the powers that `a` has not kept
+    yet. Every A^p with 1 < p <= k meets the cap, kept or not.
 
     When the identity belongs to A the powers are nested, so each step only
     multiplies the elements new in the previous power by A; otherwise A^p is
     the literal product A^(p-1) A. Either way A^p is the literal power set.
     """
     kept = a._kept["powers"]
-    nested = mat_identity(a.dim) in a.elements
+    base, mul = _tris(a.elements), _kernels(a.dim).mul
+    nested = _zeros(a.dim) in kept[0]
     for p in range(2, k + 1):
         if p > len(kept):
             if nested:
-                seen = set(kept[-1])
+                seen = dict.fromkeys(kept[-1])
                 new = kept[-1] - kept[-2] if p > 2 else kept[-1]
-                _grow(seen, new, a.elements, "product set", cap)
+                _grow(seen, new, base, mul, "product set", cap)
                 kept.append(frozenset(seen))
             else:
-                kept.append(_image(mat_mul, kept[-1], a.elements, "product set", cap))
+                xs = kept[-1] if p > 2 else base
+                kept.append(frozenset(_image(mul, xs, base, "product set", cap)))
         _check_cap("product set", len(kept[p - 1]), cap)
     return kept[k - 1]
 
@@ -198,7 +221,8 @@ def powers_up_to(
     if k < 1:
         raise ValueError("power must be at least 1")
     _power(a, k, cap)
-    return [FiniteGroupSet(a.dim, power) for power in a._kept["powers"][:k]]
+    higher = [_wrap(UnipotentMatrix, a.dim, power) for power in a._kept["powers"][1:k]]
+    return [FiniteGroupSet(a.dim, power) for power in (a.elements, *higher)]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
@@ -206,27 +230,32 @@ def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
 
 
 def _log_power(a: FiniteGroupSet, p: int, cap: int) -> frozenset:
-    """log(A^p), taken once per power and kept on `a`."""
+    """log(A^p) as triangles, taken once per power and kept on `a`."""
     power = _power(a, p, cap)
     logs = a._kept["logs"]
     got = logs.get(p)
     if got is None:
-        got = logs[p] = frozenset(mat_log(x) for x in power)
+        got = logs[p] = frozenset([_series(a.dim, t, _log_coeff) for t in power])
         if len(got) != len(power):
             raise InternalInvariantError("log collided on a finite set")
     return got
 
 
 def log_set(a: FiniteGroupSet) -> frozenset:
-    return _log_power(a, 1, DEFAULT_SIZE_CAP)
+    return _wrap(NilpotentMatrix, a.dim, _log_power(a, 1, DEFAULT_SIZE_CAP))
 
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
-    return _image(nil_add, s, t, "sumset", cap)
+    d = _dim(NilpotentMatrix, *s, *t) if s and t else 0
+    return _wrap(NilpotentMatrix, d, _image(_add, _tris(s), _tris(t), "sumset", cap))
 
 
 def scale_set(s, q) -> frozenset:
     return frozenset(nil_scale(x, q) for x in s)
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    return tuple(map(add, x, y))
 
 
 def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport:
@@ -234,19 +263,28 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
 
     T_x = xA ∩ AA is computed once per candidate x. Each round takes the first
     x in canonical order with the most of T_x still uncovered, so ties break
-    deterministically and the translate list is reproducible.
+    deterministically and the translate list is reproducible. Counts only
+    fall, so a heap of (-count, index) recounts only its top, which wins
+    when its count is still current.
     """
     aa = product_set(a, a, cap=cap)
-    candidates = _sorted(product_set(aa, inverse_set(a), cap=cap).elements)
-    uncovered = set(aa.elements)
-    hits = [(x, {mat_mul(x, y) for y in a.elements} & uncovered) for x in candidates]
-    translates: list[UnipotentMatrix] = []
+    candidates = sorted(_tris(product_set(aa, inverse_set(a), cap=cap).elements))
+    uncovered = set(_tris(aa.elements))
+    mul, base = _kernels(a.dim).mul, _tris(a.elements)
+    hits = [{mul(x, y) for y in base} & uncovered for x in candidates]
+    heap = [(-len(hit), i) for i, hit in enumerate(hits)]
+    heapq.heapify(heap)
+    translates = []
     while uncovered:
-        best, covered = max(hits, key=lambda hit: len(hit[1] & uncovered))
-        if not covered & uncovered:
-            raise SizeCapError("cover stalled", len(uncovered), cap)
-        translates.append(best)
-        uncovered -= covered
+        stale, i = heap[0]
+        count = len(hits[i] & uncovered)
+        if count == -stale:
+            if not count:
+                raise SizeCapError("cover stalled", len(uncovered), cap)
+            translates.append(UnipotentMatrix._raw(a.dim, candidates[i]))
+            uncovered -= hits[i]
+            count = 0
+        heapq.heapreplace(heap, (-count, i))
     return CoverReport(len(a), len(aa), len(translates), tuple(translates))
 
 
@@ -255,7 +293,7 @@ def _find_min_powers(a: FiniteGroupSet, targets, bound: int, cap: int) -> dict:
     until every target is found. exp is a bijection onto the unipotent
     triangles with inverse log, so each target is exponentiated once and
     looked up in A^p, p = 1, 2, ...: no log is taken."""
-    remaining = {mat_exp(t): t for t in set(targets)}
+    remaining = {_series(a.dim, t, _exp_coeff): t for t in set(targets)}
     found: dict = {}
     for p in range(1, bound + 1):
         if not remaining:
@@ -298,10 +336,10 @@ def check_sum_containment(
         raise ValueError("power must be at least 1")
     sw = sum_word(n)
     bound = sw.length * max(k1, k2)
-    us = _sorted(_log_power(a, k1, cap))
-    vs = _sorted(_log_power(a, k2, cap))
+    us = sorted(_log_power(a, k1, cap))
+    vs = sorted(_log_power(a, k2, cap))
     pairs = _sample([(u, v) for u in us for v in vs], mode, sample_size, seed)
-    targets = [nil_scale(nil_add(u, v), sw.m) for u, v in pairs]
+    targets = [_scale(_add(u, v), sw.m) for u, v in pairs]
     min_power = _find_min_powers(a, targets, bound, cap)
     found = [min_power.get(t) for t in targets]
     failures = sum(1 for p in found if p is None)
@@ -329,13 +367,14 @@ def compute_B_chain(
     """
     chain = a._kept["chain"]
     if not chain:
-        chain.append(log_set(a))
+        chain.append(_log_power(a, 1, DEFAULT_SIZE_CAP))
+    bracket = _kernels(a.dim).bracket
     for j in range(1, n + 1):
         if j < len(chain):
             _check_cap("bracket set", len(chain[j]), cap)
         else:
-            chain.append(_image(nil_bracket, chain[0], chain[-1], "bracket set", cap))
-    return chain[: n + 1]
+            chain.append(frozenset(_image(bracket, chain[0], chain[-1], "bracket set", cap)))
+    return [_wrap(NilpotentMatrix, a.dim, level) for level in chain[: n + 1]]
 
 
 def _witness_search(target, term_sets, idx):
@@ -345,7 +384,7 @@ def _witness_search(target, term_sets, idx):
     if idx == len(term_sets) - 1:
         return (target,) if target in term_sets[idx] else None
     for t, minus_t in term_sets[idx]:
-        rest = _witness_search(nil_add(target, minus_t), term_sets, idx + 1)
+        rest = _witness_search(_add(target, minus_t), term_sets, idx + 1)
         if rest is not None:
             return (t,) + rest
     return None
@@ -372,16 +411,17 @@ def check_commutator_containment(
     if not cert.rationals:
         # trivial certificate: valid only for the trivial bracket set
         failures = sum(1 for x in bj if x != nil_zero(a.dim))
-        witnesses = tuple((x, ()) for x in _sorted(bj) if x == nil_zero(a.dim))
+        witnesses = tuple((x, ()) for x in bj if x == nil_zero(a.dim))
         return BracketContainmentReport(j, len(bj), len(bj), failures, witnesses)
     term_sets = [
-        scale_set(_log_power(a, k, cap), q)
+        frozenset([_scale(t, q) for t in _log_power(a, k, cap)])
         for q, k in zip(cert.rationals, cert.exponents)
     ]
     # earlier sets are scanned in canonical order, each term negated once
-    term_sets[:-1] = [[(t, nil_scale(t, -1)) for t in _sorted(s)] for s in term_sets[:-1]]
-    targets = _sample(_sorted(bj), mode, sample_size, seed)
-    results = [(x, _witness_search(x, term_sets, 0)) for x in targets]
+    term_sets[:-1] = [[(t, tuple([-v for v in t])) for t in sorted(s)] for s in term_sets[:-1]]
+    targets = _sample(sorted(bj, key=attrgetter("tri")), mode, sample_size, seed)
+    results = [(x, _witness_search(x.tri, term_sets, 0)) for x in targets]
     failures = sum(1 for _, w in results if w is None)
-    witnesses = tuple((x, w) for x, w in results if w is not None)
+    raw = NilpotentMatrix._raw
+    witnesses = tuple((x, tuple(raw(n + 1, t) for t in w)) for x, w in results if w is not None)
     return BracketContainmentReport(j, len(bj), len(targets), failures, witnesses)

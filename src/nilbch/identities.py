@@ -391,18 +391,6 @@ def sum_word(step: int) -> SumWordResult:
     return got
 
 
-def sum_word_divisor_probe(step: int) -> dict[int, bool]:
-    """Whether each proper divisor of the canonical multiplier also satisfies
-    the ladder (and hence admits an exact word by this construction)."""
-    m = sum_word(step).m
-    ladder = synthesis_divisors(2, step, symbols=("a", "b"))
-    out = {}
-    for d in range(1, m):
-        if m % d == 0:
-            out[d] = all(d % c == 0 for c in ladder)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bracket extraction through group operations
 

@@ -274,14 +274,18 @@ def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
     return NilpotentMatrix._raw(d, tuple(map(add, a.tri, b.tri)))
 
 
-def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
-    """c a, in ints over the common denominator of a's entries and c."""
-    d = _dim(NilpotentMatrix, a)
+def _scale(tri: Tri, c) -> Tri:
+    """nil_scale on the triangle alone."""
     if type(c) is not int:
         c = as_fraction(c)
-    m, den = _numerators(a.tri)
+    m, den = _numerators(tri)
     p = c.numerator
-    return NilpotentMatrix._raw(d, _quotients([v * p for v in m], den * c.denominator))
+    return _quotients([v * p for v in m], den * c.denominator)
+
+
+def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
+    """c a, in ints over the common denominator of a's entries and c."""
+    return NilpotentMatrix._raw(_dim(NilpotentMatrix, a), _scale(a.tri, c))
 
 
 def nil_bracket(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:

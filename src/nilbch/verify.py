@@ -21,6 +21,7 @@ from .algebra import (
 )
 from .bch import _bch_series, bch
 from .identities import (
+    _check_synthesis_size,
     commutator_log_tail,
     extract_bracket,
     sum_word,
@@ -183,6 +184,7 @@ def run_suite(step: int, trials: int, seed: int) -> dict:
     """Run every check and report counts plus a global verdict."""
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
+    _check_synthesis_size(2, step)  # the sum-word check's cap, before any check runs
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     checks = [fn(step, trials, seed) for fn in _CHECKS]

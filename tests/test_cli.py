@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -163,6 +164,16 @@ def test_verify_identities_small():
     payload = json.loads(out)
     assert payload["all_pass"] is True
     validate(payload, "verify_report.json")
+
+
+@pytest.mark.parametrize("step", [7, 8])
+def test_verify_identities_refuses_a_step_past_the_cap_at_once(step):
+    # refused before any check runs, not by the sum-word check after three others
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-identities", "--step", str(step)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f'{{"error":"validation","message":"step {step} exceeds the cap 6"}}\n'
 
 
 def test_growth_report_and_schema():

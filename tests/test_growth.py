@@ -5,6 +5,7 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,12 +32,14 @@ from nilbch.growth import (
 from nilbch.identities import containment_certificate
 from nilbch.matrices import (
     UnipotentMatrix,
+    _kernels,
+    _log_coeff,
+    _series,
     mat_identity,
     mat_inverse,
     mat_log,
     mat_mul,
     nil_add,
-    nil_bracket,
     nil_scale,
     nil_zero,
 )
@@ -101,6 +104,23 @@ def greedy_cover_by_rescan(a) -> tuple:
     return tuple(translates)
 
 
+def greedy_cover_by_set_scan(a) -> tuple:
+    """The translates of the cover as found on matrices by taking, in every
+    greedy round, the first candidate whose translate has the most uncovered
+    elements, over a scan of every candidate's translate set."""
+    aa = product_set(a, a)
+    candidates = sorted(product_set(aa, inverse_set(a)).elements, key=lambda m: m.tri)
+    uncovered = set(aa.elements)
+    hits = [(x, {mat_mul(x, y) for y in a.elements} & uncovered) for x in candidates]
+    translates = []
+    while uncovered:
+        best, covered = max(hits, key=lambda hit: len(hit[1] & uncovered))
+        assert covered & uncovered
+        translates.append(best)
+        uncovered -= covered
+    return tuple(translates)
+
+
 def test_ut_generators_symmetric():
     gens = ut_generators(4)
     assert len(gens) == 6
@@ -146,6 +166,22 @@ def test_powers_monotone_and_match_literal_products():
         assert power_set(a, 3).elements == powers[2].elements
 
 
+def count_kernel_calls(monkeypatch, name: str, calls: list):
+    """Make each call of growth's triangle kernel `name` append to calls."""
+
+    def kernels(d):
+        found = _kernels(d)
+        kernel = getattr(found, name)
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        return SimpleNamespace(**{**vars(found), name: counted})
+
+    monkeypatch.setattr(growth, "_kernels", kernels)
+
+
 def test_kept_powers_serve_later_checks(monkeypatch):
     # A^3 and the certificate's A^3 and A^1 come from the powers the ball
     # kept when powers_up_to enumerated A^1..A^4: no product is taken again
@@ -154,12 +190,7 @@ def test_kept_powers_serve_later_checks(monkeypatch):
     powers_up_to(a, 4)
     cert = containment_certificate(1, AlgebraContext(2, 2))
     calls = []
-
-    def counted(x, y):
-        calls.append(1)
-        return mat_mul(x, y)
-
-    monkeypatch.setattr(growth, "mat_mul", counted)
+    count_kernel_calls(monkeypatch, "mul", calls)
     assert power_set(a, 3).elements == literal
     assert check_commutator_containment(a, 1, cert).failures == 0
     assert calls == []
@@ -176,16 +207,13 @@ def test_report_takes_each_log_set_and_the_chain_once(monkeypatch):
     # bracket checks read, and the brackets of B_1..B_n once
     logs, brackets = [], []
 
-    def counted_log(x):
-        logs.append(x)
-        return mat_log(x)
+    def counted_series(d, n, coeff):
+        if coeff is _log_coeff:
+            logs.append(n)
+        return _series(d, n, coeff)
 
-    def counted_bracket(x, y):
-        brackets.append(1)
-        return nil_bracket(x, y)
-
-    monkeypatch.setattr(growth, "mat_log", counted_log)
-    monkeypatch.setattr(growth, "nil_bracket", counted_bracket)
+    monkeypatch.setattr(growth, "_series", counted_series)
+    count_kernel_calls(monkeypatch, "bracket", brackets)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["growth", "--dim", "3", "--radius", "1", "--powers", "2,1"]) == 0
@@ -258,6 +286,24 @@ def test_find_cover_radius_three():
     # the rescan takes minutes here, so its answer is pinned as numbers
     report = find_cover(heisenberg_ball(3))
     assert (report.size_a, report.size_aa, report.k) == (53, 593, 31)
+
+
+COVER_SETS = {
+    **{f"ball{r}": lambda r=r: heisenberg_ball(r) for r in (1, 2, 3)},
+    **{f"image{seed}": lambda seed=seed: heisenberg_image_ball(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", COVER_SETS)
+def test_find_cover_matches_set_scan(name):
+    # the heap recounts only its top; the set scan recounts every candidate
+    want = greedy_cover_by_set_scan(COVER_SETS[name]())
+    assert find_cover(COVER_SETS[name]()).translates == want
+
+
+def test_find_cover_radius_four():
+    report = find_cover(heisenberg_ball(4))
+    assert (report.size_a, report.size_aa, report.k) == (135, 1793, 43)
 
 
 def test_sum_containment_exhaustive_heisenberg():
@@ -401,6 +447,16 @@ def test_commutator_witnesses_match_unhoisted_search(name):
     want = witnesses_by_reference(WITNESS_SETS[name](), 1, cert)
     report = check_commutator_containment(WITNESS_SETS[name](), 1, cert)
     assert want and report.witnesses == want
+
+
+def test_sets_refuse_matrices_of_another_type_or_dimension():
+    # the triangle kernels would read them silently, so the sets refuse them
+    with pytest.raises(TypeError):
+        FiniteGroupSet(3, frozenset({mat_log(ut_generators(3)[0])}))
+    with pytest.raises(ValueError):
+        FiniteGroupSet(3, frozenset(ut_generators(2)))
+    with pytest.raises(ValueError):
+        sumset(log_set(heisenberg_ball(1)), {nil_zero(4)})
 
 
 def test_size_cap_trips():

@@ -18,7 +18,6 @@ from nilbch.identities import (
     log_product_decomposition,
     power_word_synthesis,
     sum_word,
-    sum_word_divisor_probe,
     synthesis_divisors,
     vandermonde_recipe,
     verify_synthesis,
@@ -242,11 +241,6 @@ def test_sum_word_symbolic_identity():
         env = {"a": group.exp(a), "b": group.exp(b)}
         evaluated = group.evaluate_word(sw.word, env, ctx)
         assert evaluated.log == (a + b) * sw.m
-
-
-def test_sum_word_divisor_probe():
-    assert sum_word_divisor_probe(2) == {1: False}
-    assert sum_word_divisor_probe(3) == {1: False, 2: False, 3: False, 4: False, 6: False}
 
 
 # ---------------------------------------------------------------------------
