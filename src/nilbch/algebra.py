@@ -226,11 +226,28 @@ def _basis_index(ctx: AlgebraContext) -> dict:
     return got
 
 
+def _mobius(n: int) -> int:
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def dimensions_by_degree(ctx: AlgebraContext) -> dict[int, int]:
+    """Degree -> number of basis elements of that degree, by Witt's formula
+    (1/k) sum_{d | k} mu(d) n^(k/d), without building the basis; degrees
+    with no elements are left out."""
+    n = ctx.num_generators
     out: dict[int, int] = {}
-    for t in hall_basis(ctx):
-        d = tree_degree(t)
-        out[d] = out.get(d, 0) + 1
+    for k in range(1, ctx.step + 1):
+        dim = sum(_mobius(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        if dim:
+            out[k] = dim
     return out
 
 

@@ -4,6 +4,8 @@ All results go to stdout (and, verbatim, to --out when given) as compact
 single-line JSON or as plain text lines; timing goes to stderr so output
 stays byte-identical across runs for a fixed seed.
 Exit codes: 0 success, 2 validation error, 3 size cap, 4 broken invariant.
+Each command imports the modules it runs, so a start without bytecode
+caches compiles only those.
 """
 
 from __future__ import annotations
@@ -14,10 +16,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import group
-from .algebra import AlgebraContext, hall_basis, tree_str
-from .bch import bch, bch_tail_table
 from .errors import (
+    DEFAULT_SIZE_CAP,
     ContextMismatchError,
     DivisibilityError,
     GradingError,
@@ -26,28 +26,6 @@ from .errors import (
     UnboundSymbolError,
     WordSyntaxError,
 )
-from .growth import (
-    DEFAULT_SIZE_CAP,
-    check_commutator_containment,
-    check_sum_containment,
-    compute_B_chain,
-    find_cover,
-    generate_ball,
-    log_set,
-    powers_up_to,
-    sumset,
-    ut_generators,
-)
-from .matrices import nil_zero
-from .identities import (
-    containment_certificate,
-    extract_bracket,
-    power_word_synthesis,
-    sum_word,
-)
-from .jsonio import lie_from_json, lie_to_json, rational_str, table_to_json
-from .verify import run_suite
-from .words import serialize
 
 DEFAULT_SEED = 7
 
@@ -89,7 +67,12 @@ def _emit(args, payload, lines):
 # subcommands
 
 def _cmd_hall(args) -> int:
+    from .algebra import AlgebraContext, dimensions_by_degree, hall_basis, tree_str
+
     ctx = AlgebraContext(args.gens, args.step)
+    total = sum(dimensions_by_degree(ctx).values())
+    if total > args.cap:
+        raise SizeCapError("hall basis", total, args.cap)
     words = [tree_str(t, ctx.symbols) for t in hall_basis(ctx)]
     payload = {
         "gens": args.gens,
@@ -102,6 +85,10 @@ def _cmd_hall(args) -> int:
 
 
 def _cmd_bch(args) -> int:
+    from .algebra import AlgebraContext
+    from .bch import bch, bch_tail_table
+    from .jsonio import lie_to_json, rational_str, table_to_json
+
     ctx = AlgebraContext(2, args.step)
     if args.degree_table:
         table = bch_tail_table(ctx).items()
@@ -118,6 +105,9 @@ def _cmd_bch(args) -> int:
 
 
 def _cmd_synth_sum(args) -> int:
+    from .identities import sum_word
+    from .words import serialize
+
     sw = sum_word(args.step)
     payload = {
         "m": sw.m,
@@ -130,6 +120,9 @@ def _cmd_synth_sum(args) -> int:
 
 
 def _cmd_synth_power(args) -> int:
+    from .identities import power_word_synthesis
+    from .words import serialize
+
     res = power_word_synthesis(args.T, args.gens, args.level, args.step)
     cert = res.certificate
     payload = {
@@ -153,6 +146,11 @@ def _cmd_synth_power(args) -> int:
 
 
 def _cmd_extract_bracket(args) -> int:
+    from .algebra import AlgebraContext
+    from .group import exp
+    from .identities import extract_bracket
+    from .jsonio import lie_from_json, lie_to_json
+
     try:
         data = json.load(sys.stdin)
     except json.JSONDecodeError as e:
@@ -160,8 +158,8 @@ def _cmd_extract_bracket(args) -> int:
     if not isinstance(data, list) or len(data) != 2:
         _fail(2, "json", "expected a JSON array of exactly two element logs")
     ctx = AlgebraContext(args.gens, args.step)
-    a = group.exp(lie_from_json(data[0], ctx))
-    b = group.exp(lie_from_json(data[1], ctx))
+    a = exp(lie_from_json(data[0], ctx))
+    b = exp(lie_from_json(data[1], ctx))
     z = extract_bracket(a, b)
     payload = lie_to_json(z)
     _emit(args, payload, [f"{k} = {v}" for k, v in payload.items()])
@@ -169,6 +167,8 @@ def _cmd_extract_bracket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.step, args.trials, args.seed)
     lines = [
         f"{c['name']}: {'pass' if c['pass'] else 'FAIL'} ({c['count']} checks)"
@@ -190,6 +190,22 @@ def _parse_powers(text: str) -> list[int]:
 
 
 def _cmd_growth(args) -> int:
+    from .algebra import AlgebraContext
+    from .growth import (
+        check_commutator_containment,
+        check_sum_containment,
+        compute_B_chain,
+        find_cover,
+        generate_ball,
+        log_set,
+        powers_up_to,
+        sumset,
+        ut_generators,
+    )
+    from .identities import containment_certificate
+    from .jsonio import rational_str
+    from .matrices import nil_zero
+
     if args.group != "ut":
         raise ValueError(f"unknown group family {args.group!r}")
     if args.dim < 3:

@@ -34,6 +34,10 @@ class DivisibilityError(NilbchError, ValueError):
         )
 
 
+# elements an enumeration may build before it raises SizeCapError (`--cap`)
+DEFAULT_SIZE_CAP = 2 * 10**6
+
+
 class SizeCapError(NilbchError, RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
 

@@ -17,7 +17,7 @@ import heapq
 import random
 from operator import add, attrgetter
 
-from .errors import InternalInvariantError, SizeCapError
+from .errors import DEFAULT_SIZE_CAP, InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
 from .matrices import (
     NilpotentMatrix,
@@ -34,8 +34,6 @@ from .matrices import (
     nil_zero,
 )
 from .record import Record
-
-DEFAULT_SIZE_CAP = 2 * 10**6
 
 
 class FiniteGroupSet(Record):

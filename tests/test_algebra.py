@@ -75,6 +75,19 @@ def test_dimensions_match_witt_counter():
                 assert dims.get(d, 0) == witt_dimension(letters, d), (letters, d)
 
 
+@pytest.mark.parametrize("letters", [1, 2, 3, 4])
+def test_witt_dimensions_match_the_enumerated_basis(letters):
+    # the enumeration that dimensions_by_degree replaced is its oracle: the
+    # same dict, degrees in order, zero degrees left out
+    for step in range(1, 8):
+        ctx = AlgebraContext(letters, step)
+        counted = {}
+        for t in hall_basis(ctx):
+            counted[tree_degree(t)] = counted.get(tree_degree(t), 0) + 1
+        dims = dimensions_by_degree(ctx)
+        assert list(dims.items()) == list(counted.items()), (letters, step)
+
+
 def test_two_generator_dims_through_degree_five():
     dims = dimensions_by_degree(AlgebraContext(2, 5))
     assert [dims[d] for d in range(1, 6)] == [2, 1, 2, 3, 6]

@@ -363,3 +363,63 @@ def test_import_leaves_out_dataclasses_and_inspect():
     out = run_python(["-c", probe], text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+    # `import nilbch` binds its public names lazily, so it loads only `bch`
+    # and the `algebra` chain under it
+    assert loaded_modules(["-c", "import nilbch"]) == IMPORT_CHAIN
+
+
+# what `import nilbch` loads: `bch`, bound at import, and what it imports
+IMPORT_CHAIN = {f"nilbch{m}" for m in ("", ".bch", ".algebra", ".series", ".errors", ".linalg", ".record")}
+
+# modules a README command must not load: without bytecode caches each
+# module a command imports is compiled on every start
+LEFT_OUT = {
+    "hall": {"growth", "matrices", "identities", "group", "words", "qpoly", "verify"},
+    "bch": {"growth", "matrices", "identities", "group", "words", "qpoly", "verify"},
+    "synth-sum": {"growth", "matrices", "verify"},
+    "synth-power": {"growth", "matrices", "verify"},
+    "extract-bracket": {"growth", "matrices", "verify"},
+    "verify-identities": set(),
+    "growth": set(),
+}
+
+
+def loaded_modules(args, stdin: str = "") -> set:
+    """The nilbch modules a fresh `python ARGS` imports, read from the
+    interpreter's own import log (-X importtime)."""
+    proc = run_python(["-X", "importtime", *args], input=stdin, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = (
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    )
+    return {n for n in names if n == "nilbch" or n.startswith("nilbch.")}
+
+
+def test_help_loads_only_the_cli_beyond_the_import():
+    assert loaded_modules(["-m", "nilbch", "--help"]) == IMPORT_CHAIN | {"nilbch.cli"}
+
+
+@pytest.mark.parametrize("name, argv, stdin", readme_commands())
+def test_readme_command_loads_only_the_modules_it_runs(name, argv, stdin):
+    loaded = loaded_modules(["-m", "nilbch", *argv], stdin)
+    assert IMPORT_CHAIN | {"nilbch.cli"} <= loaded
+    assert loaded.isdisjoint(f"nilbch.{m}" for m in LEFT_OUT[argv[0]]), sorted(loaded)
+
+
+def test_hall_refuses_past_the_cap_before_it_enumerates():
+    # 5,345,276 basis elements by Witt's formula, refused before any is built
+    t0 = time.perf_counter()
+    proc = run_python(["-m", "nilbch", "hall", "--gens", "7", "--step", "9"], text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        '{"error":"size-cap","message":"size cap exceeded while building hall basis: '
+        '5345276 > cap 2000000","what":"hall basis","size":5345276,"cap":2000000}\n'
+    )
+    code, out, err = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "4"])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["size"] == 5
+    code, out, _ = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "5"])
+    assert code == 0 and json.loads(out)["count"] == 5
