@@ -66,6 +66,16 @@ def _emit(args, payload, lines):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _check_law_cap(ctx, cap: int) -> None:
+    """Refuse when ctx's Hall dimension or the law table's 2^(step+1) - 4
+    patterns is past the cap: bch and extract-bracket call this first."""
+    from .algebra import dimensions_by_degree
+
+    size = max(sum(dimensions_by_degree(ctx).values()), 2 ** (ctx.step + 1) - 4)
+    if size > cap:
+        raise SizeCapError("bch law table", size, cap)
+
+
 def _cmd_hall(args) -> int:
     from .algebra import AlgebraContext, dimensions_by_degree, hall_basis, tree_str
 
@@ -90,6 +100,7 @@ def _cmd_bch(args) -> int:
     from .jsonio import lie_to_json, rational_str, table_to_json
 
     ctx = AlgebraContext(2, args.step)
+    _check_law_cap(ctx, args.cap)
     if args.degree_table:
         table = bch_tail_table(ctx).items()
         payload = table_to_json(table)
@@ -158,6 +169,7 @@ def _cmd_extract_bracket(args) -> int:
     if not isinstance(data, list) or len(data) != 2:
         _fail(2, "json", "expected a JSON array of exactly two element logs")
     ctx = AlgebraContext(args.gens, args.step)
+    _check_law_cap(ctx, args.cap)
     a = exp(lie_from_json(data[0], ctx))
     b = exp(lie_from_json(data[1], ctx))
     z = extract_bracket(a, b)

@@ -14,7 +14,8 @@ group law: x + y + xy (mat_mul), base + xy (the series) and xy - yx
 one tuple display built from the triangle's index pairs, and cached. One
 truncated series gives exp, log and the inverse; it clears the entries'
 common denominator and the coefficients' denominators, runs Horner's rule in
-ints and divides each entry once at the end.
+ints and divides each entry once at the end. Words evaluate on triangles
+too: `matrix_group_ops` unwraps each value once and wraps the result once.
 
 Entries are ints where integral and Fractions otherwise: the constructor,
 exp, log, the inverse and nil_scale store every integral entry as an int,
@@ -27,7 +28,7 @@ Fraction; Fraction(2) == 2 and both hash alike, so equality, hashing and the
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial, lcm
 from operator import add
 from types import SimpleNamespace
@@ -242,17 +243,23 @@ def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
     return UnipotentMatrix._raw(d, _series(d, a.tri, _inverse_coeff))
 
 
-def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
-    out = mat_identity(_dim(UnipotentMatrix, a))
+def _tri_power(d: int, t: Tri, k: int) -> Tri:
+    """Triangle of (I + t)^k by square-and-multiply on triangles."""
+    mul, out = _kernels(d).mul, None
     if k < 0:
-        a, k = mat_inverse(a), -k
+        t, k = _series(d, t, _inverse_coeff), -k
     while k:
         if k & 1:
-            out = mat_mul(out, a)
+            out = t if out is None else mul(out, t)
         k >>= 1
         if k:
-            a = mat_mul(a, a)
-    return out
+            t = mul(t, t)
+    return _zeros(d) if out is None else out
+
+
+def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
+    d = _dim(UnipotentMatrix, a)
+    return UnipotentMatrix._raw(d, _tri_power(d, a.tri, k))
 
 
 def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
@@ -349,6 +356,16 @@ def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
 
 
 def matrix_group_ops(d: int):
+    """UT(d, Q) on triangles; g h g^-1 h^-1 as (g h)(h g)^-1, one inverse."""
     from .words import GroupOps
 
-    return GroupOps(mat_identity(d), mat_mul, mat_inverse, power=mat_power)
+    mul, one = _kernels(d).mul, mat_identity(d)
+    inverse = partial(_series, d, coeff=_inverse_coeff)
+
+    def enter(m: UnipotentMatrix) -> Tri:
+        _dim(UnipotentMatrix, one, m)
+        return m.tri
+
+    commutator = lambda g, h: mul(mul(g, h), inverse(mul(h, g)))
+    power, leave = partial(_tri_power, d), partial(UnipotentMatrix._raw, d)
+    return GroupOps(one.tri, mul, inverse, power, commutator, enter, leave)

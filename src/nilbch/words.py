@@ -249,10 +249,11 @@ class GroupOps:
 
     power(g, k) is the realization's own integer power. commutator defaults
     to the literal g h g' h' chain; a realization with an exact shortcut may
-    pass its own.
+    pass its own. A realization on another representation (matrix triangles)
+    passes enter and leave, applied once per env value and once per result.
     """
 
-    __slots__ = ("identity", "mul", "inverse", "_power", "_commutator")
+    __slots__ = ("identity", "mul", "inverse", "_power", "_commutator", "enter", "leave")
 
     def __init__(
         self,
@@ -261,12 +262,16 @@ class GroupOps:
         inverse: Callable,
         power: Callable,
         commutator: Callable | None = None,
+        enter: Callable | None = None,
+        leave: Callable | None = None,
     ):
         self.identity = identity
         self.mul = mul
         self.inverse = inverse
         self._power = power
         self._commutator = commutator
+        self.enter = enter
+        self.leave = leave
 
     def power(self, g, k: int):
         return self._power(g, k)
@@ -279,20 +284,26 @@ class GroupOps:
 
 def evaluate_word(word: FormalWord, env: dict, ops: GroupOps):
     """Evaluate a word over an environment mapping symbols to group values."""
-    out = ops.identity
+    if ops.enter is None:
+        return _evaluate(word, env, ops)
+    env = {name: ops.enter(g) for name, g in env.items()}
+    return ops.leave(_evaluate(word, env, ops))
+
+
+def _evaluate(word: FormalWord, env: dict, ops: GroupOps):
+    out = None  # the identity, left out of the first product
     for f in word.factors:
         if isinstance(f, SymbolFactor):
             if f.name not in env:
                 raise UnboundSymbolError(f.name)
             base = env[f.name]
         elif isinstance(f, GroupFactor):
-            base = evaluate_word(f.inner, env, ops)
+            base = _evaluate(f.inner, env, ops)
         else:
-            base = ops.commutator(
-                evaluate_word(f.left, env, ops), evaluate_word(f.right, env, ops)
-            )
-        out = ops.mul(out, ops.power(base, f.exponent))
-    return out
+            base = ops.commutator(_evaluate(f.left, env, ops), _evaluate(f.right, env, ops))
+        g = ops.power(base, f.exponent)
+        out = g if out is None else ops.mul(out, g)
+    return ops.identity if out is None else out
 
 
 def random_word(rng, symbols: tuple[str, ...], max_factors: int = 5, depth: int = 2) -> FormalWord:

@@ -423,3 +423,31 @@ def test_hall_refuses_past_the_cap_before_it_enumerates():
     assert json.loads(err)["size"] == 5
     code, out, _ = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "5"])
     assert code == 0 and json.loads(out)["count"] == 5
+
+
+def test_bch_and_extract_bracket_refuse_past_the_cap_before_any_work():
+    # the law table of step 40 has 2^41 - 4 patterns, refused before any is built
+    t0 = time.perf_counter()
+    proc = run_python(["-m", "nilbch", "bch", "--step", "40"], text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        '{"error":"size-cap","message":"size cap exceeded while building bch law table: '
+        '2199023255548 > cap 2000000","what":"bch law table","size":2199023255548,"cap":2000000}\n'
+    )
+    # step 6: 124 law-table patterns against a Hall dimension of 23
+    logs = json.dumps([{"x1": "1"}, {"x2": "1"}])
+    for argv in (["bch", "--step", "6"], ["extract-bracket", "--step", "6"]):
+        t0 = time.perf_counter()
+        proc = run_python(["-m", "nilbch", *argv, "--cap", "123"], input=logs, text=True, timeout=10)
+        assert time.perf_counter() - t0 < 1.0
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert json.loads(proc.stderr)["size"] == 124
+    assert_golden_stdout("bch_s6.json", ["bch", "--step", "6", "--cap", "124"])
+    code, out, _ = run_cli(["extract-bracket", "--step", "6", "--cap", "124"], stdin_text=logs)
+    assert (code, out) == (0, '{"[x1,x2]":"1"}\n')
+    # at three generators the Hall dimension is the larger count: 3 + 3 + 8
+    code, out, err = run_cli(["extract-bracket", "--step", "3", "--gens", "3", "--cap", "13"], stdin_text=logs)
+    assert (code, out, json.loads(err)["size"]) == (3, "", 14)
+    code, out, _ = run_cli(["extract-bracket", "--step", "3", "--gens", "3", "--cap", "14"], stdin_text=logs)
+    assert (code, out) == (0, '{"[x1,x2]":"1"}\n')

@@ -6,11 +6,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nilbch.errors import UnboundSymbolError, WordSyntaxError
-from nilbch.matrices import matrix_group_ops, random_unipotent
+from nilbch.identities import sum_word
+from nilbch.matrices import (
+    UnipotentMatrix,
+    mat_exp,
+    mat_identity,
+    mat_inverse,
+    mat_log,
+    mat_mul,
+    matrix_group_ops,
+    nil_add,
+    nil_scale,
+    random_nilpotent,
+    random_unipotent,
+)
 from nilbch.words import (
     CommutatorFactor,
     FormalWord,
     GroupFactor,
+    GroupOps,
     SymbolFactor,
     evaluate_word,
     make_word,
@@ -119,6 +133,87 @@ def test_evaluate_unbound_symbol():
     ops = matrix_group_ops(2)
     with pytest.raises(UnboundSymbolError):
         evaluate_word(parse("a z"), {"a": random_unipotent(2, Random(0))}, ops)
+
+
+def object_ops(d):
+    """UT(d, Q) on matrix objects, the oracle for the triangle realization:
+    mat_mul and mat_inverse, a power by literal repeated products and the
+    default literal commutator chain g h g' h'."""
+
+    def power(g, k):
+        base = g if k > 0 else mat_inverse(g)
+        out = mat_identity(d)
+        for _ in range(abs(k)):
+            out = mat_mul(out, base)
+        return out
+
+    return GroupOps(mat_identity(d), mat_mul, mat_inverse, power=power)
+
+
+def test_sum_words_match_the_object_realization():
+    rng = Random("words:oracle:sum")
+    for step in (1, 2, 3, 4):
+        word, d = sum_word(step).word, step + 1
+        for _ in range(2):
+            env = {"a": random_unipotent(d, rng), "b": random_unipotent(d, rng)}
+            got = evaluate_word(word, env, matrix_group_ops(d))
+            assert type(got) is UnipotentMatrix
+            assert got == evaluate_word(word, env, object_ops(d))
+
+
+def test_random_words_match_the_object_realization():
+    # nested commutators and negative exponents on Fraction-entry unipotents
+    rng = Random("words:oracle:random")
+    for d in range(2, 7):
+        ops, oracle = matrix_group_ops(d), object_ops(d)
+        for _ in range(15):
+            word = random_word(rng, ("a", "b", "x1"))
+            env = {s: mat_exp(random_nilpotent(d, rng)) for s in ("a", "b", "x1")}
+            assert evaluate_word(word, env, ops) == evaluate_word(word, env, oracle)
+    assert evaluate_word(FormalWord(), env, ops) == mat_identity(6)
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "error, text, env, d",
+    [
+        (TypeError, "a b", {"a": "U3", "b": "X3"}, 3),
+        (TypeError, "b a", {"a": "U3", "b": 5}, 3),
+        (ValueError, "a b", {"a": "U3", "b": "U4"}, 3),
+        (ValueError, "a b", {"a": "U3", "b": "U3"}, 4),
+        (UnboundSymbolError, "a z", {"a": "U3"}, 3),
+        (UnboundSymbolError, "c(a, z)", {"a": "U3"}, 3),
+    ],
+    ids=["nilpotent", "not-a-matrix", "mixed-dims", "ops-dim", "unbound", "unbound-in-commutator"],
+)
+def test_triangle_errors_match_the_object_realization(error, text, env, d):
+    # the same exception, with the same message, as evaluation on objects
+    rng = Random("words:errors")
+    values = {
+        "U3": random_unipotent(3, rng),
+        "U4": random_unipotent(4, rng),
+        "X3": random_nilpotent(3, rng),
+    }
+    env = {s: values.get(v, v) for s, v in env.items()}
+    word = parse(text)
+    got = _raised(lambda: evaluate_word(word, env, matrix_group_ops(d)))
+    assert got == _raised(lambda: evaluate_word(word, env, object_ops(d)))
+    assert got[0] is error
+
+
+def test_step_5_sum_word_on_matrices():
+    sw = sum_word(5)
+    ops = matrix_group_ops(6)
+    rng = Random("words:sum:5")
+    for _ in range(10):
+        a, b = random_unipotent(6, rng), random_unipotent(6, rng)
+        want = mat_exp(nil_scale(nil_add(mat_log(a), mat_log(b)), sw.m))
+        assert evaluate_word(sw.word, {"a": a, "b": b}, ops) == want
 
 
 def test_random_word_roundtrip_small():
