@@ -93,9 +93,7 @@ def nested_commutator(
 
 def group_ops(ctx: AlgebraContext) -> GroupOps:
     # exact shortcuts: scalar log powers and the conjugation series
-    return GroupOps(
-        identity(ctx), mul, inverse, power=rational_power, commutator=commutator
-    )
+    return GroupOps(identity(ctx), mul, rational_power, commutator)
 
 
 def evaluate_word(

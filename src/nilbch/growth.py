@@ -4,18 +4,18 @@ Everything here is exact finite-set arithmetic: balls are enumerated by
 breadth-first search, product sets and log-set sumsets are literal, and the
 containment checks assert the identities that the word synthesis and the
 containment certificates promise. The loops run on triangles (`.tri`
-tuples) with the kernels and series of `matrices`; a matrix is built only for
-what a public function returns, in the order first made. The greedy cover
-recounts a candidate only when it tops a heap of stale counts. Reports read
-canonically sorted triangles (row-major entry order), so they are
-deterministic and independent of set-hash order.
+tuples) with the arithmetic of `matrices.triangles(d)`, looked up before
+each loop; a matrix is built only for what a public function returns, in the
+order first made. The greedy cover recounts a candidate only when it tops a
+heap of stale counts. Reports read canonically sorted triangles (row-major
+entry order), so they are deterministic and independent of set-hash order.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from operator import add, attrgetter
+from operator import attrgetter
 
 from .errors import DEFAULT_SIZE_CAP, InternalInvariantError, SizeCapError
 from .identities import ContainmentCertificate, sum_word
@@ -23,15 +23,10 @@ from .matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
     _dim,
-    _exp_coeff,
-    _kernels,
-    _log_coeff,
-    _scale,
-    _series,
-    _zeros,
     mat_inverse,
     nil_scale,
     nil_zero,
+    triangles,
 )
 from .record import Record
 
@@ -159,11 +154,11 @@ def generate_ball(
     for g in gens:
         if mat_inverse(g) not in gset:
             raise ValueError("generators must be closed under inverse")
-    mul = _kernels(d).mul
-    seen = {_zeros(d): None}
+    tri = triangles(d)
+    seen = {tri.zero: None}
     frontier = list(seen)
     for _ in range(radius):
-        new = _grow(seen, frontier, _tris(gens), mul, "ball", cap)
+        new = _grow(seen, frontier, _tris(gens), tri.mul, "ball", cap)
         if not new:
             break
         # iterate the frontier as a set of its matrices: the ball's iteration
@@ -177,7 +172,7 @@ def product_set(
 ) -> FiniteGroupSet:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    out = _image(_kernels(a.dim).mul, _tris(a.elements), _tris(b.elements), "product set", cap)
+    out = _image(triangles(a.dim).mul, _tris(a.elements), _tris(b.elements), "product set", cap)
     return FiniteGroupSet(a.dim, _wrap(UnipotentMatrix, a.dim, out))
 
 
@@ -189,9 +184,9 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
     multiplies the elements new in the previous power by A; otherwise A^p is
     the literal product A^(p-1) A. Either way A^p is the literal power set.
     """
-    kept = a._kept["powers"]
-    base, mul = _tris(a.elements), _kernels(a.dim).mul
-    nested = _zeros(a.dim) in kept[0]
+    kept, tri = a._kept["powers"], triangles(a.dim)
+    base, mul = _tris(a.elements), tri.mul
+    nested = tri.zero in kept[0]
     for p in range(2, k + 1):
         if p > len(kept):
             if nested:
@@ -233,7 +228,7 @@ def _log_power(a: FiniteGroupSet, p: int, cap: int) -> frozenset:
     logs = a._kept["logs"]
     got = logs.get(p)
     if got is None:
-        got = logs[p] = frozenset([_series(a.dim, t, _log_coeff) for t in power])
+        got = logs[p] = frozenset(map(triangles(a.dim).log, power))
         if len(got) != len(power):
             raise InternalInvariantError("log collided on a finite set")
     return got
@@ -245,15 +240,11 @@ def log_set(a: FiniteGroupSet) -> frozenset:
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
     d = _dim(NilpotentMatrix, *s, *t) if s and t else 0
-    return _wrap(NilpotentMatrix, d, _image(_add, _tris(s), _tris(t), "sumset", cap))
+    return _wrap(NilpotentMatrix, d, _image(triangles(d).add, _tris(s), _tris(t), "sumset", cap))
 
 
 def scale_set(s, q) -> frozenset:
     return frozenset(nil_scale(x, q) for x in s)
-
-
-def _add(x: tuple, y: tuple) -> tuple:
-    return tuple(map(add, x, y))
 
 
 def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport:
@@ -268,7 +259,7 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
     aa = product_set(a, a, cap=cap)
     candidates = sorted(_tris(product_set(aa, inverse_set(a), cap=cap).elements))
     uncovered = set(_tris(aa.elements))
-    mul, base = _kernels(a.dim).mul, _tris(a.elements)
+    mul, base = triangles(a.dim).mul, _tris(a.elements)
     hits = [{mul(x, y) for y in base} & uncovered for x in candidates]
     heap = [(-len(hit), i) for i, hit in enumerate(hits)]
     heapq.heapify(heap)
@@ -291,7 +282,8 @@ def _find_min_powers(a: FiniteGroupSet, targets, bound: int, cap: int) -> dict:
     until every target is found. exp is a bijection onto the unipotent
     triangles with inverse log, so each target is exponentiated once and
     looked up in A^p, p = 1, 2, ...: no log is taken."""
-    remaining = {_series(a.dim, t, _exp_coeff): t for t in set(targets)}
+    exp = triangles(a.dim).exp
+    remaining = {exp(t): t for t in set(targets)}
     found: dict = {}
     for p in range(1, bound + 1):
         if not remaining:
@@ -337,7 +329,9 @@ def check_sum_containment(
     us = sorted(_log_power(a, k1, cap))
     vs = sorted(_log_power(a, k2, cap))
     pairs = _sample([(u, v) for u in us for v in vs], mode, sample_size, seed)
-    targets = [_scale(_add(u, v), sw.m) for u, v in pairs]
+    tri = triangles(a.dim)
+    add, scale = tri.add, tri.scale
+    targets = [scale(add(u, v), sw.m) for u, v in pairs]
     min_power = _find_min_powers(a, targets, bound, cap)
     found = [min_power.get(t) for t in targets]
     failures = sum(1 for p in found if p is None)
@@ -366,7 +360,7 @@ def compute_B_chain(
     chain = a._kept["chain"]
     if not chain:
         chain.append(_log_power(a, 1, DEFAULT_SIZE_CAP))
-    bracket = _kernels(a.dim).bracket
+    bracket = triangles(a.dim).bracket
     for j in range(1, n + 1):
         if j < len(chain):
             _check_cap("bracket set", len(chain[j]), cap)
@@ -375,14 +369,14 @@ def compute_B_chain(
     return [_wrap(NilpotentMatrix, a.dim, level) for level in chain[: n + 1]]
 
 
-def _witness_search(target, term_sets, idx):
+def _witness_search(target, term_sets, idx, add):
     """First (canonical order) decomposition of target across the term sets.
     Every set but the last is a list of (t, -t) in canonical order; the last
     is a lookup table."""
     if idx == len(term_sets) - 1:
         return (target,) if target in term_sets[idx] else None
     for t, minus_t in term_sets[idx]:
-        rest = _witness_search(_add(target, minus_t), term_sets, idx + 1)
+        rest = _witness_search(add(target, minus_t), term_sets, idx + 1, add)
         if rest is not None:
             return (t,) + rest
     return None
@@ -411,14 +405,16 @@ def check_commutator_containment(
         failures = sum(1 for x in bj if x != nil_zero(a.dim))
         witnesses = tuple((x, ()) for x in bj if x == nil_zero(a.dim))
         return BracketContainmentReport(j, len(bj), len(bj), failures, witnesses)
+    tri = triangles(a.dim)
+    add, scale = tri.add, tri.scale
     term_sets = [
-        frozenset([_scale(t, q) for t in _log_power(a, k, cap)])
+        frozenset([scale(t, q) for t in _log_power(a, k, cap)])
         for q, k in zip(cert.rationals, cert.exponents)
     ]
     # earlier sets are scanned in canonical order, each term negated once
     term_sets[:-1] = [[(t, tuple([-v for v in t])) for t in sorted(s)] for s in term_sets[:-1]]
     targets = _sample(sorted(bj, key=attrgetter("tri")), mode, sample_size, seed)
-    results = [(x, _witness_search(x.tri, term_sets, 0)) for x in targets]
+    results = [(x, _witness_search(x.tri, term_sets, 0, add)) for x in targets]
     failures = sum(1 for _, w in results if w is None)
     raw = NilpotentMatrix._raw
     witnesses = tuple((x, tuple(raw(n + 1, t) for t in w)) for x, w in results if w is not None)

@@ -441,8 +441,7 @@ def extract_bracket(
     samples = []
     for s in recipe.sample_points:
         a_s = group.rational_power(a, s)
-        y = group.mul(group.mul(a_s, bm), group.inverse(a_s))
-        samples.append(y.log - base)
+        samples.append(group.conjugate(a_s, bm).log - base)
     u1 = LieElement.zero(ctx)
     for w, v in zip(recipe.inverse_matrix[0], samples):
         if w:

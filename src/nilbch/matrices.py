@@ -8,14 +8,16 @@ independent check on every symbolic identity in the package.
 
 Both types store only the d(d-1)/2 entries above the diagonal, row by row
 (the triangle): N for a nilpotent N and for a unipotent I + N; `.rows`
-rebuilds the full d x d form. Three products over i < k < j carry the whole
-group law: x + y + xy (mat_mul), base + xy (the series) and xy - yx
-(nil_bracket). Each is generated once per dimension as straight-line code,
-one tuple display built from the triangle's index pairs, and cached. One
-truncated series gives exp, log and the inverse; it clears the entries'
-common denominator and the coefficients' denominators, runs Horner's rule in
-ints and divides each entry once at the end. Words evaluate on triangles
-too: `matrix_group_ops` unwraps each value once and wraps the result once.
+rebuilds the full d x d form. All arithmetic on bare triangles lives in one
+cached namespace per dimension, `triangles(d)`: each function here checks
+its operands, makes one call there and wraps the result, and the growth lab
+and word evaluation (`matrix_group_ops`) call it directly. Three products
+over i < k < j carry the whole group law: x + y + xy (mul), base + xy (the
+series) and xy - yx (bracket), each generated as straight-line code, one
+tuple display built from the triangle's index pairs. One truncated series
+gives exp, log and the inverse; it clears the entries' common denominator
+and the coefficients' denominators, runs Horner's rule in ints and divides
+each entry once at the end.
 
 Entries are ints where integral and Fractions otherwise: the constructor,
 exp, log, the inverse and nil_scale store every integral entry as an int,
@@ -46,10 +48,6 @@ def _entry(x) -> int | Fraction:
     """x as an exact entry: an int when integral, a Fraction otherwise."""
     q = as_fraction(x)
     return q.numerator if q.denominator == 1 else q
-
-
-def _zeros(d: int) -> Tri:
-    return (0,) * (d * (d - 1) // 2)
 
 
 class _Triangular(Record):
@@ -128,11 +126,17 @@ def _pairs(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @cache
-def _kernels(d: int) -> SimpleNamespace:
-    """The triangle products at dimension d as straight-line functions, each
-    one tuple display, compiled once from the indices of `_pairs(d)`:
-    mul(x, y) = x + y + xy, prod(x, y, base) = base + xy and
-    bracket(x, y) = xy - yx, for strictly upper-triangular x and y."""
+def triangles(d: int) -> SimpleNamespace:
+    """All arithmetic on the triangles of d x d matrices, built once per d.
+
+    zero, add(x, y) and scale(x, c) are the vector space. mul(x, y) =
+    x + y + xy is the product of I + x and I + y, and bracket(x, y) =
+    xy - yx; both are straight-line code, one tuple display each, compiled
+    from the indices of `_pairs(d)`. inverse(x) and log(x) read x as I + x,
+    exp(x) as a nilpotent x; all three are truncated series by Horner's
+    rule on a third display, base + xy. power(x, k) squares and multiplies;
+    commutator(g, h) is (gh)(hg)^-1, one inverse.
+    """
     pairs = _pairs(d)
     n = len(pairs)
 
@@ -157,8 +161,37 @@ def _kernels(d: int) -> SimpleNamespace:
         f"def bracket(x, y):\n{unpack('x', 'y')}{display(bracket)}"
     )
     namespace: dict = {}
-    exec(compile(source, f"<triangle kernels d={d}>", "exec"), namespace)
-    return SimpleNamespace(**{k: namespace[k] for k in ("mul", "prod", "bracket")})
+    exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
+    mul, prod, zero, ks = namespace["mul"], namespace["prod"], (0,) * n, range(1, d)
+    inverse = _horner(prod, [(-1) ** k for k in ks])
+
+    def power(t: Tri, k: int) -> Tri:
+        out = None
+        if k < 0:
+            t, k = inverse(t), -k
+        while k:
+            if k & 1:
+                out = t if out is None else mul(out, t)
+            k >>= 1
+            if k:
+                t = mul(t, t)
+        return zero if out is None else out
+
+    def commutator(g: Tri, h: Tri) -> Tri:
+        return mul(mul(g, h), inverse(mul(h, g)))
+
+    return SimpleNamespace(
+        zero=zero,
+        add=_add,
+        scale=_scale,
+        bracket=namespace["bracket"],
+        mul=mul,
+        inverse=inverse,
+        power=power,
+        commutator=commutator,
+        exp=_horner(prod, [Fraction(1, factorial(k)) for k in ks]),
+        log=_horner(prod, [Fraction((-1) ** (k + 1), k) for k in ks]),
+    )
 
 
 def _numerators(tri: Tri) -> tuple[Sequence[int], int]:
@@ -176,109 +209,8 @@ def _quotients(nums, den: int) -> Tri:
     return tuple([v // den if not v % den else Fraction(v, den) for v in nums])
 
 
-def _exp_coeff(k: int) -> Fraction:
-    return Fraction(1, factorial(k))
-
-
-def _log_coeff(k: int) -> Fraction:
-    return Fraction((-1) ** (k + 1), k)
-
-
-def _inverse_coeff(k: int) -> int:
-    return (-1) ** k
-
-
-@cache
-def _integer_coeffs(coeff, d: int) -> tuple[int, tuple[int, ...]]:
-    """L and the ints L c_k for 0 < k < d, L the lcm of the denominators of
-    c_k = coeff(k)."""
-    cs = [Fraction(coeff(k)) for k in range(1, d)]
-    lcd = lcm(*[c.denominator for c in cs])
-    return lcd, tuple([c.numerator * (lcd // c.denominator) for c in cs])
-
-
-def _series(d: int, n: Tri, coeff) -> Tri:
-    """Triangle of the sum of coeff(k) N^k over 0 < k < d, the whole series
-    since N^d = 0, in ints. With N = M / D (D the common denominator of the
-    entries) and c_k = a_k / L, the sum is S / (L D^(d-1)) where, by Horner's
-    rule, S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))); each
-    entry is divided once at the end."""
-    lcd, a = _integer_coeffs(coeff, d)
-    m, den = _numerators(n)
-    prod = _kernels(d).prod
-    acc, scale = [], 1
-    for k in range(d - 1, 0, -1):
-        c = a[k - 1] * scale
-        base = [v * c for v in m]
-        acc = prod(m, acc, base) if acc else base
-        scale *= den
-    return _quotients(acc, lcd * scale)
-
-
-def _dim(kind: type, *ms) -> int:
-    """The dimension the arguments share. They must all be of type kind: the
-    same triangle is another matrix in the other type or at another size."""
-    d = ms[0].dim
-    for m in ms:
-        if type(m) is not kind:
-            raise TypeError(f"expected {kind.__name__}, got {type(m).__name__}")
-        if m.dim != d:
-            raise ValueError("matrices must share a dimension")
-    return d
-
-
-def mat_identity(d: int) -> UnipotentMatrix:
-    return UnipotentMatrix._raw(d, _zeros(d))
-
-
-def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
-    """(I + a)(I + b) = I + (a + b + ab) on the triangles."""
-    d = _dim(UnipotentMatrix, a, b)
-    return UnipotentMatrix._raw(d, _kernels(d).mul(a.tri, b.tri))
-
-
-def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
-    """Inverse by the finite Neumann series of the nilpotent part."""
-    d = _dim(UnipotentMatrix, a)
-    return UnipotentMatrix._raw(d, _series(d, a.tri, _inverse_coeff))
-
-
-def _tri_power(d: int, t: Tri, k: int) -> Tri:
-    """Triangle of (I + t)^k by square-and-multiply on triangles."""
-    mul, out = _kernels(d).mul, None
-    if k < 0:
-        t, k = _series(d, t, _inverse_coeff), -k
-    while k:
-        if k & 1:
-            out = t if out is None else mul(out, t)
-        k >>= 1
-        if k:
-            t = mul(t, t)
-    return _zeros(d) if out is None else out
-
-
-def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
-    d = _dim(UnipotentMatrix, a)
-    return UnipotentMatrix._raw(d, _tri_power(d, a.tri, k))
-
-
-def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
-    """Exponential as the finite sum of powers over factorials."""
-    d = _dim(NilpotentMatrix, n)
-    tri = _series(d, n.tri, _exp_coeff)
-    return UnipotentMatrix._raw(d, tri)
-
-
-def mat_log(u: UnipotentMatrix) -> NilpotentMatrix:
-    """Logarithm as the finite alternating sum of powers of (u - 1)."""
-    d = _dim(UnipotentMatrix, u)
-    tri = _series(d, u.tri, _log_coeff)
-    return NilpotentMatrix._raw(d, tri)
-
-
-def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
-    d = _dim(NilpotentMatrix, a, b)
-    return NilpotentMatrix._raw(d, tuple(map(add, a.tri, b.tri)))
+def _add(x: Tri, y: Tri) -> Tri:
+    return tuple(map(add, x, y))
 
 
 def _scale(tri: Tri, c) -> Tri:
@@ -290,18 +222,92 @@ def _scale(tri: Tri, c) -> Tri:
     return _quotients([v * p for v in m], den * c.denominator)
 
 
+def _horner(prod, coeffs):
+    """The triangle of the sum of c_k N^k over 0 < k < d, for the d - 1
+    coefficients c_k, the whole series since N^d = 0, in ints. With
+    N = M / D (D the common denominator of the entries) and c_k = a_k / L,
+    the sum is S / (L D^(d-1)) where, by Horner's rule,
+    S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))); each entry is
+    divided once at the end."""
+    cs = [Fraction(c) for c in coeffs]
+    lcd = lcm(*[c.denominator for c in cs])
+    a = [c.numerator * (lcd // c.denominator) for c in reversed(cs)]
+
+    def series(n: Tri) -> Tri:
+        m, den = _numerators(n)
+        acc, scale = [], 1
+        for ak in a:
+            c = ak * scale
+            base = [v * c for v in m]
+            acc = prod(m, acc, base) if acc else base
+            scale *= den
+        return _quotients(acc, lcd * scale)
+
+    return series
+
+
+def _dim(kind: type, *ms) -> int:
+    """The dimension the arguments share. They must all be of type kind: the
+    same triangle is another matrix in the other type or at another size."""
+    for m in ms:
+        if type(m) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(m).__name__}")
+        if m.dim != ms[0].dim:
+            raise ValueError("matrices must share a dimension")
+    return ms[0].dim
+
+
+def mat_identity(d: int) -> UnipotentMatrix:
+    return UnipotentMatrix._raw(d, triangles(d).zero)
+
+
+def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
+    """(I + a)(I + b) = I + (a + b + ab) on the triangles."""
+    d = _dim(UnipotentMatrix, a, b)
+    return UnipotentMatrix._raw(d, triangles(d).mul(a.tri, b.tri))
+
+
+def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
+    """Inverse by the finite Neumann series of the nilpotent part."""
+    d = _dim(UnipotentMatrix, a)
+    return UnipotentMatrix._raw(d, triangles(d).inverse(a.tri))
+
+
+def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
+    d = _dim(UnipotentMatrix, a)
+    return UnipotentMatrix._raw(d, triangles(d).power(a.tri, k))
+
+
+def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
+    """Exponential as the finite sum of powers over factorials."""
+    d = _dim(NilpotentMatrix, n)
+    return UnipotentMatrix._raw(d, triangles(d).exp(n.tri))
+
+
+def mat_log(u: UnipotentMatrix) -> NilpotentMatrix:
+    """Logarithm as the finite alternating sum of powers of (u - 1)."""
+    d = _dim(UnipotentMatrix, u)
+    return NilpotentMatrix._raw(d, triangles(d).log(u.tri))
+
+
+def nil_add(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
+    d = _dim(NilpotentMatrix, a, b)
+    return NilpotentMatrix._raw(d, triangles(d).add(a.tri, b.tri))
+
+
 def nil_scale(a: NilpotentMatrix, c) -> NilpotentMatrix:
     """c a, in ints over the common denominator of a's entries and c."""
-    return NilpotentMatrix._raw(_dim(NilpotentMatrix, a), _scale(a.tri, c))
+    d = _dim(NilpotentMatrix, a)
+    return NilpotentMatrix._raw(d, triangles(d).scale(a.tri, c))
 
 
 def nil_bracket(a: NilpotentMatrix, b: NilpotentMatrix) -> NilpotentMatrix:
     d = _dim(NilpotentMatrix, a, b)
-    return NilpotentMatrix._raw(d, _kernels(d).bracket(a.tri, b.tri))
+    return NilpotentMatrix._raw(d, triangles(d).bracket(a.tri, b.tri))
 
 
 def nil_zero(d: int) -> NilpotentMatrix:
-    return NilpotentMatrix._raw(d, _zeros(d))
+    return NilpotentMatrix._raw(d, triangles(d).zero)
 
 
 def substitute(
@@ -345,27 +351,25 @@ def substitute(
 
 def random_nilpotent(d: int, rng, denominators: tuple[int, ...] = (1, 2)) -> NilpotentMatrix:
     """Random strictly upper-triangular matrix with small rational entries."""
-    tri = [_entry(Fraction(rng.randint(-2, 2), rng.choice(denominators))) for _ in _zeros(d)]
+    tri = [_entry(Fraction(rng.randint(-2, 2), rng.choice(denominators))) for _ in triangles(d).zero]
     return NilpotentMatrix._raw(d, tuple(tri))
 
 
 def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
     """Random unipotent matrix with small integer entries above the diagonal."""
-    tri = [rng.randint(-entry_range, entry_range) for _ in _zeros(d)]
+    tri = [rng.randint(-entry_range, entry_range) for _ in triangles(d).zero]
     return UnipotentMatrix._raw(d, tuple(tri))
 
 
 def matrix_group_ops(d: int):
-    """UT(d, Q) on triangles; g h g^-1 h^-1 as (g h)(h g)^-1, one inverse."""
+    """UT(d, Q) as the triangle arithmetic of `triangles(d)`."""
     from .words import GroupOps
 
-    mul, one = _kernels(d).mul, mat_identity(d)
-    inverse = partial(_series, d, coeff=_inverse_coeff)
+    tri, one = triangles(d), mat_identity(d)
 
     def enter(m: UnipotentMatrix) -> Tri:
         _dim(UnipotentMatrix, one, m)
         return m.tri
 
-    commutator = lambda g, h: mul(mul(g, h), inverse(mul(h, g)))
-    power, leave = partial(_tri_power, d), partial(UnipotentMatrix._raw, d)
-    return GroupOps(one.tri, mul, inverse, power, commutator, enter, leave)
+    leave = partial(UnipotentMatrix._raw, d)
+    return GroupOps(tri.zero, tri.mul, tri.power, tri.commutator, enter, leave)

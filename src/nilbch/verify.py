@@ -43,6 +43,12 @@ from .words import evaluate_word
 SAMPLED_PATTERNS_PER_ARITY = 40
 
 
+def _entry(name: str, results: list, count: int | None = None) -> dict:
+    """A check's report entry: its name, how many cases it ran (by default
+    one per result) and whether every result passed."""
+    return {"name": name, "count": len(results) if count is None else count, "pass": all(results)}
+
+
 def random_lie(ctx: AlgebraContext, rng: Random) -> LieElement:
     """Random element with small rational coordinates on the Hall basis."""
     terms = {}
@@ -71,8 +77,7 @@ def _check_bch_matrix(step: int, trials: int, seed: int) -> dict:
         direct = mat_log(mat_mul(mat_exp(x), mat_exp(y)))
         return substitute(z, [x, y]) == direct
 
-    results = [ok(x) for x in pairs]
-    return {"name": "bch-matrix-oracle", "count": len(results), "pass": all(results)}
+    return _entry("bch-matrix-oracle", [ok(x) for x in pairs])
 
 
 def _check_associativity(step: int, trials: int, seed: int) -> dict:
@@ -90,8 +95,7 @@ def _check_associativity(step: int, trials: int, seed: int) -> dict:
         ab = bch(a, b)
         return ab == _bch_series(a, b) and bch(ab, c) == bch(a, bch(b, c))
 
-    results = [ok(x) for x in triples]
-    return {"name": "bch-associativity", "count": len(results), "pass": all(results)}
+    return _entry("bch-associativity", [ok(x) for x in triples])
 
 
 def _tail_patterns(step: int, seed: int):
@@ -121,15 +125,14 @@ def _check_tails(step: int, trials: int, seed: int) -> dict:
                 total = total + eval_bracket_pattern(alpha, gens) * c
         return group.nested_commutator(pattern, group_gens).log == total
 
-    results = [ok(x) for x in todo]
-    return {"name": "commutator-tails", "count": len(results), "pass": all(results)}
+    return _entry("commutator-tails", [ok(x) for x in todo])
 
 
 def _check_sum_word(step: int, trials: int, seed: int) -> dict:
     """The two-letter sum word hits exp(m(log a + log b)) on matrix pairs."""
     sw = sum_word(step)
     if not verify_synthesis(sw.synthesis):
-        return {"name": "sum-word", "count": 0, "pass": False}
+        return _entry("sum-word", [False], 0)
     word = sw.word
     rng = Random(f"{seed}:sum-word:{step}")
     d = step + 1
@@ -145,13 +148,13 @@ def _check_sum_word(step: int, trials: int, seed: int) -> dict:
         return evaluate_word(word, {"a": a, "b": b}, ops) == want
 
     results = [ok(x) for x in pairs]
-    return {"name": "sum-word", "count": len(results) + 1, "pass": all(results)}
+    return _entry("sum-word", results, len(results) + 1)  # and the synthesis
 
 
 def _check_extraction(step: int, trials: int, seed: int) -> dict:
     """Vandermonde bracket extraction against the direct Lie bracket."""
     if step < 2:
-        return {"name": "bracket-extraction", "count": 0, "pass": True}
+        return _entry("bracket-extraction", [])
     ctx = AlgebraContext(2, step)
     rng = Random(f"{seed}:extract:{step}")
     pairs = [
@@ -163,12 +166,7 @@ def _check_extraction(step: int, trials: int, seed: int) -> dict:
         got = extract_bracket(group.exp(x), group.exp(y))
         return got == x.bracket(y)
 
-    results = [ok(x) for x in pairs]
-    return {
-        "name": "bracket-extraction",
-        "count": len(results),
-        "pass": all(results),
-    }
+    return _entry("bracket-extraction", [ok(x) for x in pairs])
 
 
 _CHECKS = (

@@ -245,41 +245,32 @@ def parse(text: str) -> FormalWord:
 # evaluation
 
 class GroupOps:
-    """The operations needed to evaluate a word in some group realization.
+    """The operations needed to evaluate a word in some group realization:
+    plain slots, read directly by `evaluate_word`.
 
-    power(g, k) is the realization's own integer power. commutator defaults
-    to the literal g h g' h' chain; a realization with an exact shortcut may
-    pass its own. A realization on another representation (matrix triangles)
-    passes enter and leave, applied once per env value and once per result.
+    power(g, k) is the realization's own integer power, inverses included,
+    and commutator(g, h) its own g h g^-1 h^-1. A realization on another representation (matrix
+    triangles) passes enter and leave, applied once per env value and once
+    per result.
     """
 
-    __slots__ = ("identity", "mul", "inverse", "_power", "_commutator", "enter", "leave")
+    __slots__ = ("identity", "mul", "_power", "commutator", "enter", "leave")
 
     def __init__(
         self,
         identity,
         mul: Callable,
-        inverse: Callable,
         power: Callable,
-        commutator: Callable | None = None,
+        commutator: Callable,
         enter: Callable | None = None,
         leave: Callable | None = None,
     ):
         self.identity = identity
         self.mul = mul
-        self.inverse = inverse
         self._power = power
-        self._commutator = commutator
+        self.commutator = commutator
         self.enter = enter
         self.leave = leave
-
-    def power(self, g, k: int):
-        return self._power(g, k)
-
-    def commutator(self, g, h):
-        if self._commutator is not None:
-            return self._commutator(g, h)
-        return self.mul(self.mul(g, h), self.mul(self.inverse(g), self.inverse(h)))
 
 
 def evaluate_word(word: FormalWord, env: dict, ops: GroupOps):
@@ -301,7 +292,7 @@ def _evaluate(word: FormalWord, env: dict, ops: GroupOps):
             base = _evaluate(f.inner, env, ops)
         else:
             base = ops.commutator(_evaluate(f.left, env, ops), _evaluate(f.right, env, ops))
-        g = ops.power(base, f.exponent)
+        g = ops._power(base, f.exponent)
         out = g if out is None else ops.mul(out, g)
     return ops.identity if out is None else out
 

@@ -32,9 +32,6 @@ from nilbch.growth import (
 from nilbch.identities import containment_certificate
 from nilbch.matrices import (
     UnipotentMatrix,
-    _kernels,
-    _log_coeff,
-    _series,
     mat_identity,
     mat_inverse,
     mat_log,
@@ -166,20 +163,21 @@ def test_powers_monotone_and_match_literal_products():
         assert power_set(a, 3).elements == powers[2].elements
 
 
-def count_kernel_calls(monkeypatch, name: str, calls: list):
-    """Make each call of growth's triangle kernel `name` append to calls."""
+def count_triangle_calls(monkeypatch, name: str, calls: list):
+    """Make each call of growth's triangle function `name` append to calls."""
+    original = growth.triangles
 
-    def kernels(d):
-        found = _kernels(d)
-        kernel = getattr(found, name)
+    def triangles(d):
+        found = original(d)
+        fn = getattr(found, name)
 
         def counted(*args):
             calls.append(1)
-            return kernel(*args)
+            return fn(*args)
 
         return SimpleNamespace(**{**vars(found), name: counted})
 
-    monkeypatch.setattr(growth, "_kernels", kernels)
+    monkeypatch.setattr(growth, "triangles", triangles)
 
 
 def test_kept_powers_serve_later_checks(monkeypatch):
@@ -190,7 +188,7 @@ def test_kept_powers_serve_later_checks(monkeypatch):
     powers_up_to(a, 4)
     cert = containment_certificate(1, AlgebraContext(2, 2))
     calls = []
-    count_kernel_calls(monkeypatch, "mul", calls)
+    count_triangle_calls(monkeypatch, "mul", calls)
     assert power_set(a, 3).elements == literal
     assert check_commutator_containment(a, 1, cert).failures == 0
     assert calls == []
@@ -206,14 +204,8 @@ def test_report_takes_each_log_set_and_the_chain_once(monkeypatch):
     # one growth report: log(A^p) once for each power p that the sum and
     # bracket checks read, and the brackets of B_1..B_n once
     logs, brackets = [], []
-
-    def counted_series(d, n, coeff):
-        if coeff is _log_coeff:
-            logs.append(n)
-        return _series(d, n, coeff)
-
-    monkeypatch.setattr(growth, "_series", counted_series)
-    count_kernel_calls(monkeypatch, "bracket", brackets)
+    count_triangle_calls(monkeypatch, "log", logs)
+    count_triangle_calls(monkeypatch, "bracket", brackets)
     out = io.StringIO()
     with redirect_stdout(out):
         assert main(["growth", "--dim", "3", "--radius", "1", "--powers", "2,1"]) == 0

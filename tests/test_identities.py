@@ -300,6 +300,34 @@ def test_extract_bracket_with_multiplier_recipe():
         assert got == x.bracket(y)
 
 
+def three_call_conjugates(a, b, recipe):
+    """a^s b^m a^-s at each sample point s of the recipe, by two products and
+    an inverse: the literal oracle for the conjugation series."""
+    bm = group.rational_power(b, recipe.m)
+    out = []
+    for s in recipe.sample_points:
+        a_s = group.rational_power(a, s)
+        out.append(group.mul(group.mul(a_s, bm), group.inverse(a_s)))
+    return out
+
+
+@pytest.mark.parametrize("step", [2, 3, 4, 5, 6])
+def test_extract_bracket_samples_match_the_three_call_route(step):
+    rng = Random(f"identities:extract-samples:{step}")
+    ctx = AlgebraContext(2, step)
+    recipe = vandermonde_recipe(step, m=2)
+    for _ in range(3):
+        a, b = group.exp(random_element(ctx, rng)), group.exp(random_element(ctx, rng))
+        bm = group.rational_power(b, recipe.m)
+        want = three_call_conjugates(a, b, recipe)
+        got = [group.conjugate(group.rational_power(a, s), bm) for s in recipe.sample_points]
+        assert got == want
+        u1 = LieElement.zero(ctx)
+        for w, y in zip(recipe.inverse_matrix[0], want):
+            u1 = u1 + (y.log - bm.log) * w
+        assert extract_bracket(a, b, recipe) == u1 * F(1, recipe.m)
+
+
 def test_extract_bracket_validation():
     ctx = AlgebraContext(2, 3)
     a = group.exp(ctx.generator(0))

@@ -1,24 +1,22 @@
 """Exact matrix layer: exp/log, powers, substitution oracle plumbing."""
 
+import ast
 from fractions import Fraction
 from math import factorial
 from operator import add
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from nilbch import growth, words
 from nilbch.algebra import AlgebraContext
 from nilbch.bch import bch
 from nilbch.growth import generate_ball, ut_generators
 from nilbch.matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
-    _exp_coeff,
-    _inverse_coeff,
-    _kernels,
-    _log_coeff,
     _pairs,
-    _series,
     mat_exp,
     mat_identity,
     mat_inverse,
@@ -32,6 +30,7 @@ from nilbch.matrices import (
     random_nilpotent,
     random_unipotent,
     substitute,
+    triangles,
 )
 from nilbch.verify import random_lie
 
@@ -70,6 +69,10 @@ X3, X4 = random_nilpotent(3, R), random_nilpotent(4, R)
         (TypeError, lambda: mat_log(X3)),
         (TypeError, lambda: nil_scale(U3, 2)),
         (TypeError, lambda: substitute(AlgebraContext(2, 2).generator(0), [X3, U3])),
+        (TypeError, lambda: mat_power(5, 1)),
+        (TypeError, lambda: mat_inverse(5)),
+        (TypeError, lambda: mat_mul(5, mat_identity(2))),
+        (TypeError, lambda: mat_log(None)),
     ],
     ids=[
         "mul-3x4",
@@ -83,6 +86,10 @@ X3, X4 = random_nilpotent(3, R), random_nilpotent(4, R)
         "log-nilpotent",
         "scale-unipotent",
         "substitute-unipotent",
+        "power-int",
+        "inverse-int",
+        "mul-int-first",
+        "log-none",
     ],
 )
 def test_operands_must_match(error, call):
@@ -382,16 +389,39 @@ def canonical(tri):
     return tuple(v.numerator if v.denominator == 1 else v for v in tri)
 
 
+SERIES = {
+    "exp": lambda k: F(1, factorial(k)),
+    "log": lambda k: F((-1) ** (k + 1), k),
+    "inverse": lambda k: (-1) ** k,
+}
+
+
 @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])
 def test_generated_kernels_and_integer_series_match_references(kind):
     rng = Random(f"matrices:kernels:{kind}")
     for d in range(1, 9):
-        kernels = _kernels(d)
+        tri = triangles(d)
         for _ in range(3):
-            x, y, base = (random_operand(d, kind, rng) for _ in range(3))
-            assert kernels.mul(x, y) == loop_tri_mul(d, x, y, tuple(map(add, x, y)))
-            assert kernels.prod(x, y, base) == loop_tri_mul(d, x, y, base)
-            assert kernels.bracket(x, y) == loop_bracket(d, x, y)
-            for coeff in (_exp_coeff, _log_coeff, _inverse_coeff):
+            x, y = (random_operand(d, kind, rng) for _ in range(2))
+            assert tri.mul(x, y) == loop_tri_mul(d, x, y, tuple(map(add, x, y)))
+            assert tri.bracket(x, y) == loop_bracket(d, x, y)
+            for name, coeff in SERIES.items():
                 want = fraction_series(d, x, coeff)
-                assert typed(_series(d, x, coeff)) == typed(canonical(want))
+                assert typed(getattr(tri, name)(x)) == typed(canonical(want))
+
+
+# the internals of the triangle arithmetic, which only `matrices` may name
+TRIANGLE_INTERNALS = {"_kernels", "_series", "_tri_power", "_scale", "_zeros"}
+
+
+@pytest.mark.parametrize("module", [growth, words], ids=["growth", "words"])
+def test_triangle_arithmetic_is_reached_only_through_triangles(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    coeffs = {n for n in imported if n.startswith("_") and n.endswith("_coeff")}
+    assert not imported & TRIANGLE_INTERNALS and not coeffs

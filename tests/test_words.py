@@ -138,7 +138,7 @@ def test_evaluate_unbound_symbol():
 def object_ops(d):
     """UT(d, Q) on matrix objects, the oracle for the triangle realization:
     mat_mul and mat_inverse, a power by literal repeated products and the
-    default literal commutator chain g h g' h'."""
+    literal commutator chain g h g' h'."""
 
     def power(g, k):
         base = g if k > 0 else mat_inverse(g)
@@ -147,7 +147,10 @@ def object_ops(d):
             out = mat_mul(out, base)
         return out
 
-    return GroupOps(mat_identity(d), mat_mul, mat_inverse, power=power)
+    def commutator(g, h):
+        return mat_mul(mat_mul(g, h), mat_mul(mat_inverse(g), mat_inverse(h)))
+
+    return GroupOps(mat_identity(d), mat_mul, power, commutator)
 
 
 def test_sum_words_match_the_object_realization():
