@@ -370,7 +370,8 @@ class LieElement:
     """A finite Q-linear combination of Lyndon basis brackets.
 
     Instances are immutable by convention; all operations return new elements.
-    Coefficients are Fractions (or polynomial scalars, during symbolic runs).
+    Coefficients are Fractions; the constructor and scalar multiplication
+    refuse any scalar that is not an exact rational.
     """
 
     __slots__ = ("ctx", "terms")
@@ -387,7 +388,7 @@ class LieElement:
                 raise GradingError(
                     f"{tree_str(t, ctx.symbols)} is not a basis tree at step {ctx.step}"
                 )
-            if isinstance(c, (int, float, str)):
+            if not isinstance(c, Fraction):
                 c = as_fraction(c)
             if c:
                 # the basis tree itself, so that a parsed tree is not kept
@@ -438,7 +439,7 @@ class LieElement:
     def __mul__(self, scalar) -> "LieElement":
         if isinstance(scalar, LieElement):
             raise TypeError("use bracket() for the Lie product")
-        if isinstance(scalar, (int, float)):
+        if not isinstance(scalar, Fraction):
             scalar = as_fraction(scalar)
         if not scalar:
             return LieElement.zero(self.ctx)

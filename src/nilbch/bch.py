@@ -85,14 +85,12 @@ def _law_table(step: int) -> tuple:
 
 
 def _integral(terms: dict) -> tuple:
-    """(s, s * terms): rational coefficients become ints over their least
-    common denominator s; other coefficients (QPoly) stay as they are, s = 1."""
-    if all(isinstance(c, (int, Fraction)) for c in terms.values()):
-        # a list, not a generator: a tuple grown from a generator is
-        # reallocated, and the tuple free list then keeps it when it dies
-        s = lcm(*[c.denominator for c in terms.values()])
-        return s, {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
-    return 1, terms
+    """(s, s * terms): the rational coefficients as ints over their least
+    common denominator s."""
+    # a list, not a generator: a tuple grown from a generator is
+    # reallocated, and the tuple free list then keeps it when it dies
+    s = lcm(*[c.denominator for c in terms.values()])
+    return s, {t: c.numerator * (s // c.denominator) for t, c in terms.items()}
 
 
 def bch(x: LieElement, y: LieElement) -> LieElement:
@@ -135,14 +133,7 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
             cur = out.get(t)
             out[t] = v * c if cur is None else cur + v * c
     scale = den * px[0] * py[0]
-    return LieElement._raw(
-        x.ctx,
-        {
-            t: Fraction(v, scale) if isinstance(v, (int, Fraction)) else v / scale
-            for t, v in out.items()
-            if v
-        },
-    )
+    return LieElement._raw(x.ctx, {t: Fraction(v, scale) for t, v in out.items() if v})
 
 
 def multi_bch(elements) -> LieElement:

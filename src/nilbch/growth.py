@@ -204,7 +204,11 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
 def power_set(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroupSet:
-    return powers_up_to(a, k, cap=cap)[-1]
+    """The power set A^k, computed incrementally and kept on `a`."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    power = _power(a, k, cap)
+    return FiniteGroupSet(a.dim, a.elements if k == 1 else _wrap(UnipotentMatrix, a.dim, power))
 
 
 def powers_up_to(
@@ -213,9 +217,7 @@ def powers_up_to(
     """The power sets A^1..A^k, computed incrementally and kept on `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    _power(a, k, cap)
-    higher = [_wrap(UnipotentMatrix, a.dim, power) for power in a._kept["powers"][1:k]]
-    return [FiniteGroupSet(a.dim, power) for power in (a.elements, *higher)]
+    return [power_set(a, p, cap=cap) for p in range(1, k + 1)]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:

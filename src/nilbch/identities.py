@@ -8,12 +8,19 @@ commutator correction factors whose leading terms cancel it. Appending a
 factor whose log starts at degree l never disturbs degrees below l, so the
 clearing is monotone.
 
-Power-of-T targets run the whole construction once with coefficients in Q[T]
-(the formal power left unevaluated). That makes the divisibility ladder
-computable a priori: the coefficient of each correction is a polynomial with
-zero constant term, so it takes integer values at every T divisible by the
-lcm of its denominators, and those lcms accumulate into one divisor per
-cleared degree.
+For the target T * (sum of generator logs) each correction exponent is a
+polynomial in T. Its degree is at most the Lie degree d of its correction:
+the generator block has T-degree k at Lie degree k, a bracket adds both Lie
+degrees and T-degrees, and each exponent scales a commutator log that starts
+at Lie degree d, so by induction every Lie-degree-d piece of the
+construction has T-degree at most d. Its constant term is 0, as at T = 0
+the target, the block and every correction vanish. So the runs at
+T = 1..step fix each exponent exactly, through the inverse Vandermonde
+matrix of those points, and the divisibility ladder follows a priori: an
+exponent takes integer values at every T divisible by the lcm of its
+coefficient denominators, and those lcms accumulate into one divisor per
+cleared degree. The word itself comes from one run at the requested power,
+whose exponents are checked against the interpolated polynomials.
 
 Bracket extraction goes the other way: it recovers [log a, log b] from group
 operations alone by sampling conjugates of a power of b and inverting the
@@ -24,6 +31,7 @@ yields element-free containment certificates for iterated bracket sets.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import group
@@ -41,8 +49,7 @@ from .errors import (
     GradingError,
     InternalInvariantError,
 )
-from .linalg import invert_matrix
-from .qpoly import QPoly, T as POLY_T
+from .linalg import invert_matrix, mat_vec
 from .record import Record
 from .words import CommutatorFactor, FormalWord, SymbolFactor, make_word, word_length
 
@@ -177,7 +184,7 @@ def log_product_decomposition(
 
 
 # ---------------------------------------------------------------------------
-# power word synthesis over Q[T]
+# power word synthesis at T = 1..step, interpolated
 
 class SynthesisCertificate(Record):
     """Exactness record: the log of the word plus the residual equals the
@@ -191,71 +198,59 @@ class SynthesisResult(Record):
     __slots__ = ("divisors", "word", "certificate", "power")
 
 
-class _SymbolicSynthesis:
-    __slots__ = ("ctx", "divisors", "corrections", "target", "log_by_level")
+def _synthesis_run(ctx: AlgebraContext, power: int, level: int, logs: dict) -> tuple:
+    """(target, achieved, corrections): the construction at T = power,
+    cleared through the given level, with its corrections as (degree,
+    pattern, exponent) in the order the word applies them. logs keeps the
+    log of each pattern's nested commutator, which no power changes."""
+    gens = ctx.generators()
+    group_gens = [group.exp(g) for g in gens]
+    block = [g * power for g in gens]
+    target = LieElement.zero(ctx)
+    for x in block:
+        target = target + x
+    lam = multi_bch(block)
+    corrections = []
+    for degree in range(2, level + 1):
+        table = rightnormed_decomposition(target - lam, degree)
+        for alpha in sorted(table):
+            m = table[alpha]
+            corrections.append((degree, alpha, m))
+            log = logs.get(alpha)
+            if log is None:
+                log = logs[alpha] = group.nested_commutator(alpha, group_gens).log
+            lam = bch(lam, log * m)
+    return target, lam, corrections
 
-    def __init__(self, ctx, divisors, corrections, target, log_by_level):
-        self.ctx = ctx
-        self.divisors = divisors
-        self.corrections = corrections
-        self.target = target
-        self.log_by_level = log_by_level
+
+_LADDER: dict = {}
 
 
-_SYMBOLIC_CACHE: dict = {}
-
-
-def _symbolic_synthesis(
-    num_generators: int,
-    step: int,
-    symbols: tuple[str, ...],
-) -> _SymbolicSynthesis:
+def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
+    """(ctx, divisors, polys, logs): the construction run in full at
+    T = 1..step, each correction exponent's polynomial in T, as its
+    coefficients of T**1..T**step keyed by (degree, pattern), and the
+    commutator logs the runs share."""
     key = (num_generators, step, symbols)
-    got = _SYMBOLIC_CACHE.get(key)
+    got = _LADDER.get(key)
     if got is not None:
         return got
     ctx = AlgebraContext(num_generators, step, symbols)
-    gens = ctx.generators()
-    group_gens = [group.exp(g) for g in gens]
-    target = gens[0] * POLY_T
-    for g in gens[1:]:
-        target = target + g * POLY_T
-    lam = multi_bch([g * POLY_T for g in gens])
-    log_by_level = {1: lam}
-    divisors = [1]
-    corrections: list[tuple[int, BracketPattern, QPoly]] = []
-    for degree in range(2, step + 1):
-        table = rightnormed_decomposition(target - lam, degree)
-        c = divisors[-1]
-        for alpha in sorted(table):
-            poly = table[alpha]
-            if not isinstance(poly, QPoly):
-                poly = QPoly.constant(poly)
-            if poly.constant_term:
-                raise InternalInvariantError(
-                    "synthesis coefficient has a nonzero value at power 0"
-                )
-            for den in poly.denominators():
-                c = lcm(c, den)
-            corrections.append((degree, alpha, poly))
-            lam = bch(lam, group.nested_commutator(alpha, group_gens).log * poly)
-        divisors.append(c)
-        log_by_level[degree] = lam
-    if lam != target:
-        raise InternalInvariantError("synthesis failed to reach its target")
-    got = _SYMBOLIC_CACHE[key] = _SymbolicSynthesis(
-        ctx, tuple(divisors), tuple(corrections), target, log_by_level
-    )
+    values: dict = {}
+    logs: dict = {}
+    for t in range(1, step + 1):
+        target, lam, corrections = _synthesis_run(ctx, t, step, logs)
+        if lam != target:
+            raise InternalInvariantError("synthesis failed to reach its target")
+        for degree, alpha, m in corrections:
+            values.setdefault((degree, alpha), [0] * step)[t - 1] = m
+    inverse = vandermonde_recipe(step + 1).inverse_matrix
+    polys = {k: mat_vec(inverse, v) for k, v in values.items()}
+    dens = [1] * step
+    for (degree, _), coeffs in polys.items():
+        dens[degree - 1] = lcm(dens[degree - 1], *[a.denominator for a in coeffs])
+    got = _LADDER[key] = (ctx, tuple(accumulate(dens, lcm)), polys, logs)
     return got
-
-
-def _evaluate_at(x: LieElement, t: int) -> LieElement:
-    terms = {}
-    for tree, c in x.terms.items():
-        v = c(Fraction(t)) if isinstance(c, QPoly) else c
-        if v:
-            terms[tree] = v
-    return LieElement._raw(x.ctx, terms)
 
 
 def _pattern_word(pattern: BracketPattern, symbols: tuple[str, ...]) -> FormalWord:
@@ -292,10 +287,11 @@ def synthesis_divisors(
     *,
     symbols: tuple[str, ...] | None = None,
 ) -> tuple[int, ...]:
-    """The divisibility ladder c_1..c_step, independent of any power."""
+    """The divisibility ladder c_1..c_step, independent of any power: c_1 = 1,
+    and c_d is the lcm of c_(d-1) and the denominators of the polynomial
+    coefficients of the degree-d correction exponents."""
     _check_synthesis_size(num_generators, step)
-    sym = _symbolic_synthesis(num_generators, step, symbols or ())
-    return sym.divisors
+    return _ladder(num_generators, step, symbols or ())[1]
 
 
 def power_word_synthesis(
@@ -323,26 +319,28 @@ def power_word_synthesis(
     _check_synthesis_size(num_generators, step)
     if not isinstance(power, int):
         raise ValueError("the power must be an integer")
-    sym = _symbolic_synthesis(num_generators, step, symbols or ())
-    for degree, c in enumerate(sym.divisors, start=1):
+    ctx, divisors, polys, logs = _ladder(num_generators, step, symbols or ())
+    for degree, c in enumerate(divisors, start=1):
         if power % c:
             raise DivisibilityError(required=c, got=power, degree=degree)
-    ctx = sym.ctx
+    target, achieved, corrections = _synthesis_run(ctx, power, level, logs)
+    exponents = {(degree, alpha): m for degree, alpha, m in corrections}
+    for key in polys.keys() | exponents.keys():
+        if key[0] <= level:
+            at_power = sum(a * power**j for j, a in enumerate(polys.get(key, ()), start=1))
+            if at_power != exponents.get(key, 0):
+                raise InternalInvariantError(
+                    "correction exponent disagrees with its interpolated polynomial"
+                )
     factors = []
     if power:
         for s in ctx.symbols:
             factors.append(SymbolFactor(s, power))
-    for degree, alpha, poly in sym.corrections:
-        if degree > level:
-            break
-        m = poly(Fraction(power))
+    for _, alpha, m in corrections:
         if m.denominator != 1:
             raise InternalInvariantError("correction exponent failed to be integral")
-        if m:
-            factors.append(_correction_factor(alpha, int(m), ctx.symbols))
+        factors.append(_correction_factor(alpha, int(m), ctx.symbols))
     word = make_word(factors)
-    target = _evaluate_at(sym.target, power)
-    achieved = _evaluate_at(sym.log_by_level[level], power)
     residual = target - achieved
     min_deg = residual.min_degree()
     if min_deg and min_deg <= level:
@@ -350,11 +348,11 @@ def power_word_synthesis(
     certificate = SynthesisCertificate(
         target, word, residual, EXACT if residual.is_zero else min_deg
     )
-    return SynthesisResult(sym.divisors, word, certificate, power)
+    return SynthesisResult(divisors, word, certificate, power)
 
 
 def verify_synthesis(result: SynthesisResult) -> bool:
-    """Cross-check the polynomial pipeline by direct word evaluation: the
+    """Cross-check the synthesis run by direct word evaluation: the
     evaluated log plus the residual must equal the target."""
     cert = result.certificate
     ctx = cert.target.ctx

@@ -31,7 +31,7 @@ def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 
 def mat_vec(rows: Sequence[Sequence[Fraction]], vec: Sequence) -> list:
-    """Matrix-vector product; the vector entries may be any ring scalars."""
+    """Matrix-vector product over Q; the vector entries are ints or Fractions."""
     out = []
     for row in rows:
         acc = None

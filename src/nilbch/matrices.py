@@ -137,6 +137,8 @@ def triangles(d: int) -> SimpleNamespace:
     rule on a third display, base + xy. power(x, k) squares and multiplies;
     commutator(g, h) is (gh)(hg)^-1, one inverse.
     """
+    if d < 0:
+        raise ValueError(f"matrix dimension {d} is negative")
     pairs = _pairs(d)
     n = len(pairs)
 

@@ -2,8 +2,8 @@
 
 A series is a dict mapping words (tuples of 0-based letter indices) to nonzero
 coefficients; the empty tuple keys the constant term. Every operation
-truncates at a fixed total degree. Coefficients may be any exact commutative
-ring scalars supporting +, *, unary -, and truthiness (Fraction, QPoly).
+truncates at a fixed total degree. Coefficients are exact rationals: Fractions,
+or ints where a series holds integer values.
 """
 
 from __future__ import annotations

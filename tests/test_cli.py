@@ -268,6 +268,14 @@ def test_readme_commands_match_golden_bytes(name, argv, stdin):
         ("synth_sum_s4.json", ["synth-sum", "--step", "4"]),
         ("synth_power_s4_g3_l4_t24.json",
          ["synth-power", "--step", "4", "--gens", "3", "--level", "4", "--T", "24"]),
+        ("synth_sum_s5.json", ["synth-sum", "--step", "5"]),
+        ("synth_sum_s6.json", ["synth-sum", "--step", "6"]),
+        ("synth_power_s5_g3_l5_t720.json",
+         ["synth-power", "--step", "5", "--gens", "3", "--level", "5", "--T", "720"]),
+        ("synth_power_s5_g2_l3_t720.json",
+         ["synth-power", "--step", "5", "--gens", "2", "--level", "3", "--T", "720"]),
+        ("synth_power_s5_g3_l4_tm720.json",
+         ["synth-power", "--step", "5", "--gens", "3", "--level", "4", "--T", "-720"]),
     ],
 )
 def test_engine_commands_match_golden_bytes(name, argv):
@@ -374,8 +382,8 @@ IMPORT_CHAIN = {f"nilbch{m}" for m in ("", ".bch", ".algebra", ".series", ".erro
 # modules a README command must not load: without bytecode caches each
 # module a command imports is compiled on every start
 LEFT_OUT = {
-    "hall": {"growth", "matrices", "identities", "group", "words", "qpoly", "verify"},
-    "bch": {"growth", "matrices", "identities", "group", "words", "qpoly", "verify"},
+    "hall": {"growth", "matrices", "identities", "group", "words", "verify"},
+    "bch": {"growth", "matrices", "identities", "group", "words", "verify"},
     "synth-sum": {"growth", "matrices", "verify"},
     "synth-power": {"growth", "matrices", "verify"},
     "extract-bracket": {"growth", "matrices", "verify"},

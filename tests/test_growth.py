@@ -163,6 +163,22 @@ def test_powers_monotone_and_match_literal_products():
         assert power_set(a, 3).elements == powers[2].elements
 
 
+def test_power_set_wraps_only_the_power_it_returns(monkeypatch):
+    a = heisenberg_ball(2)
+    built = []
+    init = FiniteGroupSet.__init__
+
+    def counted(self, dim, elements):
+        built.append(len(elements))
+        init(self, dim, elements)
+
+    monkeypatch.setattr(FiniteGroupSet, "__init__", counted)
+    assert len(power_set(a, 4)) == 1793
+    assert built == [1793]
+    assert [len(p) for p in powers_up_to(a, 4)] == built[1:] == [17, 135, 593, 1793]
+    assert power_set(a, 1).elements is a.elements
+
+
 def count_triangle_calls(monkeypatch, name: str, calls: list):
     """Make each call of growth's triangle function `name` append to calls."""
     original = growth.triangles

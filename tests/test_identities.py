@@ -142,6 +142,21 @@ def test_divisor_ladder_two_letters():
     assert synthesis_divisors(2, 4) == (1, 2, 12, 24)
 
 
+# the ladders of the symbolic Q[T] synthesis, recorded before it was replaced
+# by runs at T = 1..step: (generators, step) -> c_1..c_step
+PINNED_LADDERS = {
+    **{(g, s): (1, 2, 12, 24, 720)[:s] for g in (2, 3) for s in range(1, 6)},
+    **{(1, s): (1,) * s for s in range(1, 6)},
+    (2, 6): (1, 2, 12, 24, 720, 1440),
+    **{(4, s): (1, 2, 12, 24)[:s] for s in range(1, 5)},
+}
+
+
+def test_divisor_ladders_match_the_pinned_ones():
+    got = {key: synthesis_divisors(*key) for key in PINNED_LADDERS}
+    assert got == PINNED_LADDERS
+
+
 def test_divisor_ladder_is_nested():
     for letters in (2, 3):
         ladder = synthesis_divisors(letters, 4)

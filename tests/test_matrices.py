@@ -50,6 +50,22 @@ def test_validation():
         UnipotentMatrix(((F(2), F(0)), (F(0), F(1))))  # diagonal must be 1
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: mat_identity(-2),
+        lambda: nil_zero(-1),
+        lambda: random_unipotent(-3, Random(0)),
+        lambda: random_nilpotent(-1, Random(0)),
+    ],
+    ids=["mat_identity", "nil_zero", "random_unipotent", "random_nilpotent"],
+)
+def test_negative_dimensions_are_refused(make):
+    # triangles(d) refuses d < 0 instead of building an empty triangle
+    with pytest.raises(ValueError, match="negative"):
+        make()
+
+
 R = Random("matrices:operands")
 U3, U4 = random_unipotent(3, R), random_unipotent(4, R)
 X3, X4 = random_nilpotent(3, R), random_nilpotent(4, R)
