@@ -27,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import series
 from .errors import ContextMismatchError, GradingError, InternalInvariantError
-from .linalg import invert_matrix, mat_vec
+from .linalg import apply_inverse, spanning_inverse
 from .record import Record
 
 # leaf: generator index; node: (left, right)
@@ -560,51 +560,21 @@ _RN_SOLVER: dict = {}
 
 
 def _rightnormed_solver(num_generators: int, arity: int):
-    """Pivot patterns and the exact inverse of their coordinate block.
-
-    Columns are the right-normed generator brackets h_alpha in lexicographic
-    pattern order; the greedily chosen pivot columns are the lexicographically
-    first spanning subset, which fixes a deterministic decomposition.
-    """
+    """Pivot patterns, their coordinate block's inverse as (den, int rows),
+    and the degree's basis trees. Columns are the right-normed generator
+    brackets h_alpha in lexicographic pattern order; the pivot columns are
+    the lexicographically first spanning subset, which fixes a deterministic
+    decomposition."""
     key = (num_generators, arity)
-    got = _RN_SOLVER.get(key)
-    if got is not None:
-        return got
-    basis = [
-        t
-        for t in hall_basis(AlgebraContext(num_generators, arity))
-        if tree_degree(t) == arity
-    ]
-    dim = len(basis)
-    row_of = {t: r for r, t in enumerate(basis)}
-    echelon: list[tuple[int, list[Fraction]]] = []
-    pivots: list[BracketPattern] = []
-    columns: list[list[Fraction]] = []
-    for alpha in patterns(num_generators, arity):
-        coords = _pattern_coords(alpha, arity)
-        col = [_ZERO] * dim
-        for t, c in coords.items():
-            col[row_of[t]] = Fraction(c)
-        v = list(col)
-        for lead, u in echelon:
-            f = v[lead]
-            if f:
-                v = [a - f * b for a, b in zip(v, u)]
-        lead = next((r for r, a in enumerate(v) if a), None)
-        if lead is not None:
-            inv = Fraction(1) / v[lead]
-            echelon.append((lead, [a * inv for a in v]))
-            pivots.append(alpha)
-            columns.append(col)
-            if len(pivots) == dim:
-                break
-    if len(pivots) != dim:
-        raise InternalInvariantError(
-            f"right-normed brackets fail to span degree {arity} over {num_generators} generators"
-        )
-    square = [[columns[j][r] for j in range(dim)] for r in range(dim)]
-    got = _RN_SOLVER[key] = (tuple(pivots), invert_matrix(square), tuple(basis))
-    return got
+    if key not in _RN_SOLVER:
+        ctx = AlgebraContext(num_generators, arity)
+        basis = tuple(t for t in hall_basis(ctx) if tree_degree(t) == arity)
+        row_of = {t: r for r, t in enumerate(basis)}
+        pats = list(patterns(num_generators, arity))
+        cols = ({row_of[t]: c for t, c in _pattern_coords(a, arity).items()} for a in pats)
+        chosen, den, rows = spanning_inverse(cols, len(basis))
+        _RN_SOLVER[key] = (tuple(pats[j] for j in chosen), den, rows, basis)
+    return _RN_SOLVER[key]
 
 
 def rightnormed_decomposition(x: LieElement, degree: int | None = None) -> dict:
@@ -623,7 +593,6 @@ def rightnormed_decomposition(x: LieElement, degree: int | None = None) -> dict:
     if len(degs) != 1:
         raise GradingError(f"decomposition needs a homogeneous element, got degrees {degs}")
     arity = degs[0]
-    pivots, inv, basis = _rightnormed_solver(x.ctx.num_generators, arity)
-    rhs = [x.terms.get(t, _ZERO) for t in basis]
-    sol = mat_vec(inv, rhs)
+    pivots, den, rows, basis = _rightnormed_solver(x.ctx.num_generators, arity)
+    sol = apply_inverse(den, rows, [x.terms.get(t, 0) for t in basis])
     return {alpha: c for alpha, c in zip(pivots, sol) if c}

@@ -66,12 +66,13 @@ def _emit(args, payload, lines):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _check_law_cap(ctx, cap: int) -> None:
-    """Refuse when ctx's Hall dimension or the law table's 2^(step+1) - 4
-    patterns is past the cap: bch and extract-bracket call this first."""
-    from .algebra import dimensions_by_degree
+def _check_law_cap(num_generators: int, step: int, cap: int) -> None:
+    """Refuse when the Hall dimension of (num_generators, step) or the law
+    table's 2^(step+1) - 4 patterns is past the cap; checked before any work."""
+    from .algebra import AlgebraContext, dimensions_by_degree
 
-    size = max(sum(dimensions_by_degree(ctx).values()), 2 ** (ctx.step + 1) - 4)
+    ctx = AlgebraContext(num_generators, step)
+    size = max(sum(dimensions_by_degree(ctx).values()), 2 ** (step + 1) - 4)
     if size > cap:
         raise SizeCapError("bch law table", size, cap)
 
@@ -99,8 +100,8 @@ def _cmd_bch(args) -> int:
     from .bch import bch, bch_tail_table
     from .jsonio import lie_to_json, rational_str, table_to_json
 
+    _check_law_cap(2, args.step, args.cap)
     ctx = AlgebraContext(2, args.step)
-    _check_law_cap(ctx, args.cap)
     if args.degree_table:
         table = bch_tail_table(ctx).items()
         payload = table_to_json(table)
@@ -119,6 +120,7 @@ def _cmd_synth_sum(args) -> int:
     from .identities import sum_word
     from .words import serialize
 
+    _check_law_cap(2, args.step, args.cap)
     sw = sum_word(args.step)
     payload = {
         "m": sw.m,
@@ -134,6 +136,7 @@ def _cmd_synth_power(args) -> int:
     from .identities import power_word_synthesis
     from .words import serialize
 
+    _check_law_cap(args.gens, args.step, args.cap)
     res = power_word_synthesis(args.T, args.gens, args.level, args.step)
     cert = res.certificate
     payload = {
@@ -168,8 +171,8 @@ def _cmd_extract_bracket(args) -> int:
         _fail(2, "json", f"invalid JSON on stdin: {e}")
     if not isinstance(data, list) or len(data) != 2:
         _fail(2, "json", "expected a JSON array of exactly two element logs")
+    _check_law_cap(args.gens, args.step, args.cap)
     ctx = AlgebraContext(args.gens, args.step)
-    _check_law_cap(ctx, args.cap)
     a = exp(lie_from_json(data[0], ctx))
     b = exp(lie_from_json(data[1], ctx))
     z = extract_bracket(a, b)
@@ -181,6 +184,7 @@ def _cmd_extract_bracket(args) -> int:
 def _cmd_verify(args) -> int:
     from .verify import run_suite
 
+    _check_law_cap(2, args.step, args.cap)
     report = run_suite(args.step, args.trials, args.seed)
     lines = [
         f"{c['name']}: {'pass' if c['pass'] else 'FAIL'} ({c['count']} checks)"

@@ -49,7 +49,7 @@ from .errors import (
     GradingError,
     InternalInvariantError,
 )
-from .linalg import invert_matrix, mat_vec
+from .linalg import apply_inverse, spanning_inverse
 from .record import Record
 from .words import CommutatorFactor, FormalWord, SymbolFactor, make_word, word_length
 
@@ -244,8 +244,7 @@ def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
             raise InternalInvariantError("synthesis failed to reach its target")
         for degree, alpha, m in corrections:
             values.setdefault((degree, alpha), [0] * step)[t - 1] = m
-    inverse = vandermonde_recipe(step + 1).inverse_matrix
-    polys = {k: mat_vec(inverse, v) for k, v in values.items()}
+    polys = {k: apply_inverse(*_vandermonde_inverse(step + 1), v) for k, v in values.items()}
     dens = [1] * step
     for (degree, _), coeffs in polys.items():
         dens[degree - 1] = lcm(dens[degree - 1], *[a.denominator for a in coeffs])
@@ -399,6 +398,17 @@ class VandermondeRecipe(Record):
     __slots__ = ("n", "m", "inverse_matrix", "sample_points")
 
 
+_VANDERMONDE: dict = {}
+
+
+def _vandermonde_inverse(n: int) -> tuple:
+    """(den, rows) inverting the matrix [s**j], s and j in 1..n-1, once per n."""
+    if n not in _VANDERMONDE:
+        columns = ({s - 1: s**j for s in range(1, n)} for j in range(1, n))
+        _VANDERMONDE[n] = spanning_inverse(columns, n - 1)[1:]
+    return _VANDERMONDE[n]
+
+
 def vandermonde_recipe(n: int, m: int = 1) -> VandermondeRecipe:
     """Recipe for step n with scale m: sample points 1..n-1 and the inverse
     of the (n-1) x (n-1) matrix with entries s**j."""
@@ -406,10 +416,9 @@ def vandermonde_recipe(n: int, m: int = 1) -> VandermondeRecipe:
         raise ValueError("the recipe needs step at least 2")
     if m < 1:
         raise ValueError("the scale must be a positive integer")
-    points = tuple(range(1, n))
-    rows = [[Fraction(s) ** j for j in range(1, n)] for s in points]
-    inverse = tuple(tuple(row) for row in invert_matrix(rows))
-    return VandermondeRecipe(n, m, inverse, points)
+    den, rows = _vandermonde_inverse(n)
+    inverse = tuple(tuple(Fraction(c, den) for c in row) for row in rows)
+    return VandermondeRecipe(n, m, inverse, tuple(range(1, n)))
 
 
 def extract_bracket(

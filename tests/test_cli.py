@@ -1,5 +1,6 @@
 """CLI contract: frozen outputs, exit codes, schemas, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -282,6 +283,16 @@ def test_engine_commands_match_golden_bytes(name, argv):
     assert_golden_stdout(name, argv)
 
 
+def test_bch_step_ten_matches_its_digest():
+    # the step-10 law table runs the right-normed solver up to arity 10; its
+    # stdout is pinned by digest rather than as a golden file
+    code, out, _ = run_cli(["bch", "--step", "10"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9c3d75470f046bbc3b21ec70e56d9130a505b2b9f413a9977c4f1d5245b0d4db"
+    )
+
+
 def test_readme_python_blocks_run():
     text = (ROOT / "README.md").read_text()
     blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
@@ -431,6 +442,27 @@ def test_hall_refuses_past_the_cap_before_it_enumerates():
     assert json.loads(err)["size"] == 5
     code, out, _ = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "5"])
     assert code == 0 and json.loads(out)["count"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-identities", "--step", "3", "--trials", "1"],
+        ["synth-sum", "--step", "3"],
+        ["synth-power", "--step", "3", "--gens", "2", "--level", "2", "--T", "12"],
+    ],
+)
+def test_synthesis_commands_refuse_past_the_cap(argv):
+    # the two-letter step-3 law table has 12 patterns against a Hall
+    # dimension of 5 (synth-power composes in its own --gens)
+    code, out, err = run_cli([*argv, "--cap", "1"])
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building bch law table: '
+        '12 > cap 1","what":"bch law table","size":12,"cap":1}\n'
+    )
+    code, _, _ = run_cli([*argv, "--cap", "12"])
+    assert code == 0
 
 
 def test_bch_and_extract_bracket_refuse_past_the_cap_before_any_work():
