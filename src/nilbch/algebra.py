@@ -570,10 +570,17 @@ def _rightnormed_solver(num_generators: int, arity: int):
         ctx = AlgebraContext(num_generators, arity)
         basis = tuple(t for t in hall_basis(ctx) if tree_degree(t) == arity)
         row_of = {t: r for r, t in enumerate(basis)}
-        pats = list(patterns(num_generators, arity))
+        pats = patterns(num_generators, arity)
         cols = ({row_of[t]: c for t, c in _pattern_coords(a, arity).items()} for a in pats)
-        chosen, den, rows = spanning_inverse(cols, len(basis))
-        _RN_SOLVER[key] = (tuple(pats[j] for j in chosen), den, rows, basis)
+        try:
+            chosen, den, rows = spanning_inverse(cols, len(basis))
+        except InternalInvariantError as e:
+            raise InternalInvariantError(
+                f"right-normed brackets fail to span degree {arity} over {num_generators} generators"
+            ) from e
+        picked = set(chosen)
+        pivots = tuple(a for j, a in enumerate(patterns(num_generators, arity)) if j in picked)
+        _RN_SOLVER[key] = (pivots, den, rows, basis)
     return _RN_SOLVER[key]
 
 

@@ -117,9 +117,10 @@ def _cmd_bch(args) -> int:
 
 
 def _cmd_synth_sum(args) -> int:
-    from .identities import sum_word
+    from .identities import _check_synthesis_size, sum_word
     from .words import serialize
 
+    _check_synthesis_size(2, args.step)
     _check_law_cap(2, args.step, args.cap)
     sw = sum_word(args.step)
     payload = {
@@ -133,9 +134,10 @@ def _cmd_synth_sum(args) -> int:
 
 
 def _cmd_synth_power(args) -> int:
-    from .identities import power_word_synthesis
+    from .identities import _check_power_args, power_word_synthesis
     from .words import serialize
 
+    _check_power_args(args.T, args.gens, args.level, args.step)
     _check_law_cap(args.gens, args.step, args.cap)
     res = power_word_synthesis(args.T, args.gens, args.level, args.step)
     cert = res.certificate
@@ -182,8 +184,9 @@ def _cmd_extract_bracket(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .verify import run_suite
+    from .verify import check_suite_args, run_suite
 
+    check_suite_args(args.step, args.trials)
     _check_law_cap(2, args.step, args.cap)
     report = run_suite(args.step, args.trials, args.seed)
     lines = [

@@ -280,6 +280,19 @@ def _check_synthesis_size(num_generators: int, step: int):
         raise ValueError(f"generator count must be in 1..{DEFAULT_GENS_CAP}")
 
 
+def _check_power_args(power: int, num_generators: int, level: int, step: int | None) -> int:
+    """The step of a power-word synthesis, once its arguments are valid."""
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    step = level if step is None else step
+    if step < level:
+        raise ValueError("the cleared level cannot exceed the step")
+    _check_synthesis_size(num_generators, step)
+    if not isinstance(power, int):
+        raise ValueError("the power must be an integer")
+    return step
+
+
 def synthesis_divisors(
     num_generators: int,
     step: int,
@@ -310,14 +323,7 @@ def power_word_synthesis(
     and DEFAULT_GENS_CAP: pattern enumeration grows as L**degree and the
     basis dimension superexponentially.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    step = level if step is None else step
-    if step < level:
-        raise ValueError("the cleared level cannot exceed the step")
-    _check_synthesis_size(num_generators, step)
-    if not isinstance(power, int):
-        raise ValueError("the power must be an integer")
+    step = _check_power_args(power, num_generators, level, step)
     ctx, divisors, polys, logs = _ladder(num_generators, step, symbols or ())
     for degree, c in enumerate(divisors, start=1):
         if power % c:

@@ -178,13 +178,17 @@ _CHECKS = (
 )
 
 
-def run_suite(step: int, trials: int, seed: int) -> dict:
-    """Run every check and report counts plus a global verdict."""
+def check_suite_args(step: int, trials: int) -> None:
     if step < 1:
         raise ValueError(f"step must be at least 1, got {step}")
     _check_synthesis_size(2, step)  # the sum-word check's cap, before any check runs
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+
+
+def run_suite(step: int, trials: int, seed: int) -> dict:
+    """Run every check and report counts plus a global verdict."""
+    check_suite_args(step, trials)
     checks = [fn(step, trials, seed) for fn in _CHECKS]
     return {
         "step": step,

@@ -167,14 +167,32 @@ def test_verify_identities_small():
     validate(payload, "verify_report.json")
 
 
-@pytest.mark.parametrize("step", [7, 8])
+@pytest.mark.parametrize("step", [7, 8, 20, 100000])
 def test_verify_identities_refuses_a_step_past_the_cap_at_once(step):
-    # refused before any check runs, not by the sum-word check after three others
+    # refused before any check runs, not by the sum-word check after three
+    # others, and before the law table's size is counted
     start = time.perf_counter()
     code, out, err = run_cli(["verify-identities", "--step", str(step)])
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     assert err == f'{{"error":"validation","message":"step {step} exceeds the cap 6"}}\n'
+
+
+def test_synthesis_commands_refuse_past_the_synthesis_caps_at_once():
+    start = time.perf_counter()
+    for step in (7, 20, 100000):
+        code, out, err = run_cli(["synth-sum", "--step", str(step)])
+        assert (code, out) == (2, "")
+        assert err == f'{{"error":"validation","message":"step {step} exceeds the cap 6"}}\n'
+    for argv, message in [
+        (["--gens", "1000", "--step", "3", "--level", "2"], "generator count must be in 1..4"),
+        (["--gens", "2", "--step", "100000", "--level", "2"], "step 100000 exceeds the cap 6"),
+        (["--gens", "2", "--step", "0", "--level", "1"], "the cleared level cannot exceed the step"),
+    ]:
+        code, out, err = run_cli(["synth-power", *argv, "--T", "12"])
+        assert (code, out) == (2, "")
+        assert err == f'{{"error":"validation","message":"{message}"}}\n'
+    assert time.perf_counter() - start < 1
 
 
 def test_growth_report_and_schema():

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from nilbch import algebra
 from nilbch.algebra import (
     AlgebraContext,
     _pattern_coords,
@@ -144,3 +145,11 @@ def test_apply_inverse_matches_the_fraction_product():
         got = apply_inverse(den, rows, vec)
         assert got == mat_vec(inverse, vec)
         assert all(type(x) is Fraction for x in got)
+
+
+def test_a_failed_rightnormed_solve_names_its_degree(monkeypatch):
+    # with every column zero nothing spans, and the error says which solve failed
+    monkeypatch.setattr(algebra, "_RN_SOLVER", {})
+    monkeypatch.setattr(algebra, "_pattern_coords", lambda pattern, cutoff: {})
+    with pytest.raises(InternalInvariantError, match="fail to span degree 3 over 2 generators"):
+        _rightnormed_solver(2, 3)
