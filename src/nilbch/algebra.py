@@ -533,27 +533,35 @@ def patterns(num_generators: int, arity: int) -> Iterator[BracketPattern]:
     return itertools.product(range(1, num_generators + 1), repeat=arity)
 
 
+def rightnormed_fold(pattern: BracketPattern, args: Sequence, op, memo: dict):
+    """op(a_1, op(a_2, ... op(a_(j-1), a_j))) with a_i = args[pattern[i] - 1].
+    The value of every suffix of two or more indices is kept in memo, so
+    patterns folded through one memo share their common suffixes."""
+    val = args[pattern[-1] - 1]
+    for k in range(len(pattern) - 2, -1, -1):
+        suffix = pattern[k:]
+        got = memo.get(suffix)
+        if got is None:
+            got = memo[suffix] = op(args[pattern[k] - 1], val)
+        val = got
+    return val
+
+
+def check_pattern(pattern: BracketPattern, num_args: int) -> None:
+    """Refuse an empty pattern or an index outside 1..num_args."""
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    for i in pattern:
+        if not 1 <= i <= num_args:
+            raise ValueError(f"pattern index {i} out of range for {num_args} arguments")
+
+
 def eval_bracket_pattern(
     pattern: BracketPattern, args: Sequence[LieElement]
 ) -> LieElement:
     """Right-normed bracket of args selected by a 1-based index pattern."""
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    for i in pattern:
-        if not 1 <= i <= len(args):
-            raise ValueError(f"pattern index {i} out of range for {len(args)} arguments")
-    out = args[pattern[-1] - 1]
-    for i in reversed(pattern[:-1]):
-        out = args[i - 1].bracket(out)
-    return out
-
-
-def _pattern_coords(pattern: BracketPattern, degree_cutoff: int) -> dict:
-    """Coordinates of the right-normed generator bracket for a pattern."""
-    out: dict = {pattern[-1] - 1: 1}
-    for i in reversed(pattern[:-1]):
-        out = bracket_coords({i - 1: 1}, out, degree_cutoff)
-    return out
+    check_pattern(pattern, len(args))
+    return rightnormed_fold(pattern, args, LieElement.bracket, {})
 
 
 _RN_SOLVER: dict = {}
@@ -570,8 +578,10 @@ def _rightnormed_solver(num_generators: int, arity: int):
         ctx = AlgebraContext(num_generators, arity)
         basis = tuple(t for t in hall_basis(ctx) if tree_degree(t) == arity)
         row_of = {t: r for r, t in enumerate(basis)}
-        pats = patterns(num_generators, arity)
-        cols = ({row_of[t]: c for t, c in _pattern_coords(a, arity).items()} for a in pats)
+        units = [{i: 1} for i in range(num_generators)]
+        op, memo = (lambda u, v: bracket_coords(u, v, arity)), {}  # one memo per degree
+        cols = ({row_of[t]: c for t, c in rightnormed_fold(a, units, op, memo).items()}
+                for a in patterns(num_generators, arity))
         try:
             chosen, den, rows = spanning_inverse(cols, len(basis))
         except InternalInvariantError as e:

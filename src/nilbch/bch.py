@@ -27,6 +27,7 @@ from .algebra import (
     bracket_coords,
     extract_lie_coords,
     rightnormed_decomposition,
+    rightnormed_fold,
     tree_assoc,
 )
 from .errors import ContextMismatchError, GradingError
@@ -115,18 +116,11 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     # px[i] * py[j] lifts a value over den * sx**i * sy**j to the scale
     px = [sx ** (step - i) for i in range(step + 1)]
     py = [sy ** (step - j) for j in range(step + 1)]
-    args = (None, xs, ys)  # patterns name x and y as 1 and 2
     # right-normed brackets of shared suffixes, evaluated once per call
-    memo: dict = {}
+    op, memo = (lambda a, b: bracket_coords(a, b, step)), {}
     out: dict = {}
     for alpha, num in (((1,), den), ((2,), den), *table):
-        val = args[alpha[-1]]
-        for k in range(len(alpha) - 2, -1, -1):
-            suffix = alpha[k:]
-            got = memo.get(suffix)
-            if got is None:
-                got = memo[suffix] = bracket_coords(args[alpha[k]], val, step)
-            val = got
+        val = rightnormed_fold(alpha, (xs, ys), op, memo)
         i = alpha.count(1)
         c = num * px[i] * py[len(alpha) - i]
         for t, v in val.items():

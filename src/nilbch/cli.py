@@ -25,6 +25,7 @@ from .errors import (
     SizeCapError,
     UnboundSymbolError,
     WordSyntaxError,
+    printable_size,
 )
 
 DEFAULT_SEED = 7
@@ -68,11 +69,16 @@ def _emit(args, payload, lines):
 
 def _check_law_cap(num_generators: int, step: int, cap: int) -> None:
     """Refuse when the Hall dimension of (num_generators, step) or the law
-    table's 2^(step+1) - 4 patterns is past the cap; checked before any work."""
+    table's 2^(step+1) - 4 patterns is past the cap; checked before any work.
+    For at most two generators from step 2 on, the Hall dimension is at most
+    2^step (each Lyndon word of length k has k distinct rotations, so there
+    are at most 2^k/k), and Witt's sum, O(step^2) big-int work, is skipped."""
     from .algebra import AlgebraContext, dimensions_by_degree
 
     ctx = AlgebraContext(num_generators, step)
-    size = max(sum(dimensions_by_degree(ctx).values()), 2 ** (step + 1) - 4)
+    size = 2 ** (step + 1) - 4
+    if num_generators > 2 or step < 2:
+        size = max(sum(dimensions_by_degree(ctx).values()), size)
     if size > cap:
         raise SizeCapError("bch law table", size, cap)
 
@@ -409,7 +415,9 @@ def main(argv=None) -> int:
     ) as e:
         return _report(2, "validation", str(e))
     except SizeCapError as e:
-        return _report(3, "size-cap", str(e), what=e.what, size=e.size, cap=e.cap)
+        return _report(
+            3, "size-cap", str(e), what=e.what, size=printable_size(e.size), cap=e.cap
+        )
     except InternalInvariantError as e:
         return _report(4, "internal-invariant", str(e))
 

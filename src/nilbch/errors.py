@@ -38,6 +38,21 @@ class DivisibilityError(NilbchError, ValueError):
 DEFAULT_SIZE_CAP = 2 * 10**6
 
 
+def printable_size(size: int) -> int | str:
+    """size itself when Python can write it in decimal, else the text "a
+    <d>-digit number": past the interpreter's limit on int-to-str conversion
+    (4300 digits by default) both str() and json.dumps refuse the int."""
+    try:
+        str(size)
+        return size
+    except ValueError:
+        # a lower bound on the digit count, as log10(2) > 0.3010, then count up
+        digits = (size.bit_length() - 1) * 3010 // 10000 + 1
+        while size >= 10**digits:
+            digits += 1
+        return f"a {digits}-digit number"
+
+
 class SizeCapError(NilbchError, RuntimeError):
     """Raised when an enumeration would exceed the configured size cap."""
 
@@ -45,7 +60,9 @@ class SizeCapError(NilbchError, RuntimeError):
         self.what = what
         self.size = size
         self.cap = cap
-        super().__init__(f"size cap exceeded while building {what}: {size} > cap {cap}")
+        super().__init__(
+            f"size cap exceeded while building {what}: {printable_size(size)} > cap {cap}"
+        )
 
 
 class WordSyntaxError(NilbchError, ValueError):

@@ -10,7 +10,14 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from . import words as wordmod
-from .algebra import AlgebraContext, BracketPattern, LieElement, as_fraction
+from .algebra import (
+    AlgebraContext,
+    BracketPattern,
+    LieElement,
+    as_fraction,
+    check_pattern,
+    rightnormed_fold,
+)
 from .bch import bch, conjugation_log
 from .errors import ContextMismatchError
 from .words import FormalWord, GroupOps
@@ -80,15 +87,8 @@ def nested_commutator(
 ) -> GroupElement:
     """Right-nested group commutator selected by a 1-based index pattern:
     c(a_1, c(a_2, ... c(a_{j-1}, a_j))). Arity-1 patterns give the element."""
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    for i in pattern:
-        if not 1 <= i <= len(args):
-            raise ValueError(f"pattern index {i} out of range for {len(args)} arguments")
-    out = args[pattern[-1] - 1]
-    for i in reversed(pattern[:-1]):
-        out = commutator(args[i - 1], out)
-    return out
+    check_pattern(pattern, len(args))
+    return rightnormed_fold(pattern, args, commutator, {})
 
 
 def group_ops(ctx: AlgebraContext) -> GroupOps:

@@ -41,6 +41,7 @@ from .algebra import (
     LieElement,
     eval_bracket_pattern,
     rightnormed_decomposition,
+    rightnormed_fold,
 )
 from .bch import bch, multi_bch
 from .errors import (
@@ -202,7 +203,7 @@ def _synthesis_run(ctx: AlgebraContext, power: int, level: int, logs: dict) -> t
     """(target, achieved, corrections): the construction at T = power,
     cleared through the given level, with its corrections as (degree,
     pattern, exponent) in the order the word applies them. logs keeps the
-    log of each pattern's nested commutator, which no power changes."""
+    nested commutator of each pattern and suffix, which no power changes."""
     gens = ctx.generators()
     group_gens = [group.exp(g) for g in gens]
     block = [g * power for g in gens]
@@ -216,9 +217,7 @@ def _synthesis_run(ctx: AlgebraContext, power: int, level: int, logs: dict) -> t
         for alpha in sorted(table):
             m = table[alpha]
             corrections.append((degree, alpha, m))
-            log = logs.get(alpha)
-            if log is None:
-                log = logs[alpha] = group.nested_commutator(alpha, group_gens).log
+            log = rightnormed_fold(alpha, group_gens, group.commutator, logs).log
             lam = bch(lam, log * m)
     return target, lam, corrections
 
@@ -230,7 +229,7 @@ def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
     """(ctx, divisors, polys, logs): the construction run in full at
     T = 1..step, each correction exponent's polynomial in T, as its
     coefficients of T**1..T**step keyed by (degree, pattern), and the
-    commutator logs the runs share."""
+    nested commutators the runs share."""
     key = (num_generators, step, symbols)
     got = _LADDER.get(key)
     if got is not None:
@@ -252,16 +251,13 @@ def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
     return got
 
 
+def _commutator_word(a: FormalWord, b: FormalWord) -> FormalWord:
+    return FormalWord((CommutatorFactor(a, b),))
+
+
 def _pattern_word(pattern: BracketPattern, symbols: tuple[str, ...]) -> FormalWord:
-    if len(pattern) == 1:
-        return FormalWord((SymbolFactor(symbols[pattern[0] - 1]),))
-    return FormalWord(
-        (
-            CommutatorFactor(
-                _pattern_word(pattern[:1], symbols), _pattern_word(pattern[1:], symbols)
-            ),
-        )
-    )
+    letters = [FormalWord((SymbolFactor(s),)) for s in symbols]
+    return rightnormed_fold(pattern, letters, _commutator_word, {})
 
 
 def _correction_factor(pattern: BracketPattern, m: int, symbols: tuple[str, ...]):

@@ -295,6 +295,8 @@ def test_readme_commands_match_golden_bytes(name, argv, stdin):
          ["synth-power", "--step", "5", "--gens", "2", "--level", "3", "--T", "720"]),
         ("synth_power_s5_g3_l4_tm720.json",
          ["synth-power", "--step", "5", "--gens", "3", "--level", "4", "--T", "-720"]),
+        ("synth_power_s6_g3_l6_t1440.json",
+         ["synth-power", "--step", "6", "--gens", "3", "--level", "6", "--T", "1440"]),
     ],
 )
 def test_engine_commands_match_golden_bytes(name, argv):
@@ -455,6 +457,15 @@ def test_hall_refuses_past_the_cap_before_it_enumerates():
         '{"error":"size-cap","message":"size cap exceeded while building hall basis: '
         '5345276 > cap 2000000","what":"hall basis","size":5345276,"cap":2000000}\n'
     )
+    # a count past 4300 digits, which str() and json.dumps refuse, is
+    # printed as its digit count
+    code, out, err = run_cli(["hall", "--gens", "10", "--step", "4400"])
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building hall basis: '
+        'a 4397-digit number > cap 2000000","what":"hall basis",'
+        '"size":"a 4397-digit number","cap":2000000}\n'
+    )
     code, out, err = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "4"])
     assert (code, out) == (3, "")
     assert json.loads(err)["size"] == 5
@@ -492,6 +503,17 @@ def test_bch_and_extract_bracket_refuse_past_the_cap_before_any_work():
     assert proc.stderr == (
         '{"error":"size-cap","message":"size cap exceeded while building bch law table: '
         '2199023255548 > cap 2000000","what":"bch law table","size":2199023255548,"cap":2000000}\n'
+    )
+    # 2^100001 - 4 patterns: past 4300 digits a size is printed as its digit
+    # count, and the two-letter check skips Witt's sum over every degree
+    t0 = time.perf_counter()
+    proc = run_python(["-m", "nilbch", "bch", "--step", "100000"], text=True, timeout=10)
+    assert time.perf_counter() - t0 < 1.0
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        '{"error":"size-cap","message":"size cap exceeded while building bch law table: '
+        'a 30104-digit number > cap 2000000","what":"bch law table",'
+        '"size":"a 30104-digit number","cap":2000000}\n'
     )
     # step 6: 124 law-table patterns against a Hall dimension of 23
     logs = json.dumps([{"x1": "1"}, {"x2": "1"}])

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from nilbch import group
-from nilbch.algebra import AlgebraContext
+from nilbch.algebra import AlgebraContext, eval_bracket_pattern
 from nilbch.errors import ContextMismatchError
 from nilbch.matrices import (
     mat_exp,
@@ -78,6 +78,24 @@ def test_nested_commutator_shapes():
     assert group.nested_commutator((1, 2, 3), g) == group.commutator(
         g[0], group.commutator(g[1], g[2])
     )
+
+
+@pytest.mark.parametrize(
+    "pattern, message",
+    [
+        ((), "pattern must be nonempty"),
+        ((1, 0), "pattern index 0 out of range for 2 arguments"),
+        ((3, 1), "pattern index 3 out of range for 2 arguments"),
+    ],
+)
+def test_patterns_are_checked_before_any_fold(pattern, message):
+    # eval_bracket_pattern and nested_commutator share one index check
+    ctx = AlgebraContext(2, 3)
+    gens = ctx.generators()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eval_bracket_pattern(pattern, gens)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        group.nested_commutator(pattern, [group.exp(x) for x in gens])
 
 
 def test_conjugate():

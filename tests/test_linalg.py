@@ -5,18 +5,21 @@ from random import Random
 
 import pytest
 
-from nilbch import algebra
+from nilbch import algebra, group
 from nilbch.algebra import (
     AlgebraContext,
-    _pattern_coords,
+    LieElement,
     _rightnormed_solver,
+    bracket_coords,
     hall_basis,
     patterns,
+    rightnormed_fold,
     tree_degree,
 )
 from nilbch.errors import InternalInvariantError
-from nilbch.identities import vandermonde_recipe
+from nilbch.identities import _commutator_word, _pattern_word, vandermonde_recipe
 from nilbch.linalg import apply_inverse, spanning_inverse
+from nilbch.words import FormalWord, SymbolFactor
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +50,15 @@ def mat_vec(rows, vec):
     return [sum((a * v for a, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def plain_fold(pattern, args, op):
+    """The right-normed fold of one pattern, innermost bracket first, with
+    no memo."""
+    out = args[pattern[-1] - 1]
+    for i in reversed(pattern[:-1]):
+        out = op(args[i - 1], out)
+    return out
+
+
 def fraction_solver(num_generators, arity):
     """Pivot patterns by a greedy echelon over Fraction, the inverse of their
     block, and the basis trees. The echelon rows are sparse, so the oracle
@@ -61,8 +73,10 @@ def fraction_solver(num_generators, arity):
     echelon = []
     pivots = []
     columns = []
+    units = [{i: 1} for i in range(num_generators)]
     for alpha in patterns(num_generators, arity):
-        col = {row_of[t]: Fraction(c) for t, c in _pattern_coords(alpha, arity).items()}
+        coords = plain_fold(alpha, units, lambda u, v: bracket_coords(u, v, arity))
+        col = {row_of[t]: Fraction(c) for t, c in coords.items()}
         v = dict(col)
         for lead, u in echelon:
             f = v.get(lead)
@@ -150,6 +164,35 @@ def test_apply_inverse_matches_the_fraction_product():
 def test_a_failed_rightnormed_solve_names_its_degree(monkeypatch):
     # with every column zero nothing spans, and the error says which solve failed
     monkeypatch.setattr(algebra, "_RN_SOLVER", {})
-    monkeypatch.setattr(algebra, "_pattern_coords", lambda pattern, cutoff: {})
+    monkeypatch.setattr(algebra, "bracket_coords", lambda a, b, step: {})
     with pytest.raises(InternalInvariantError, match="fail to span degree 3 over 2 generators"):
         _rightnormed_solver(2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the suffix memo against the plain fold
+
+FOLD_SIZES = [(2, a) for a in range(1, 9)] + [(3, a) for a in range(1, 6)]
+
+
+@pytest.mark.parametrize("num_generators,arity", FOLD_SIZES)
+def test_a_shared_memo_folds_lie_brackets_as_the_plain_fold(num_generators, arity):
+    gens = AlgebraContext(num_generators, arity).generators()
+    memo = {}
+    for alpha in patterns(num_generators, arity):
+        got = rightnormed_fold(alpha, gens, LieElement.bracket, memo)
+        assert got == plain_fold(alpha, gens, LieElement.bracket)
+
+
+def test_a_shared_memo_folds_commutators_and_words_as_the_plain_fold():
+    ctx = AlgebraContext(3, 4)
+    gens = [group.exp(x) for x in ctx.generators()]
+    letters = [FormalWord((SymbolFactor(s),)) for s in ctx.symbols]
+    commutators, words = {}, {}
+    for arity in range(1, 5):
+        for alpha in patterns(3, arity):
+            got = rightnormed_fold(alpha, gens, group.commutator, commutators)
+            assert got == plain_fold(alpha, gens, group.commutator)
+            want = plain_fold(alpha, letters, _commutator_word)
+            assert rightnormed_fold(alpha, letters, _commutator_word, words) == want
+            assert _pattern_word(alpha, ctx.symbols) == want
