@@ -35,7 +35,8 @@ HallTree = "int | tuple"
 # 1-based generator indices, read left to right
 BracketPattern = tuple[int, ...]
 
-_SYMBOL_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# a generator symbol, as AlgebraContext accepts it and basis_tree reads it
+_SYMBOL_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,7 +67,7 @@ class AlgebraContext(Record):
         if len(symbols) != num_generators:
             raise ValueError("symbol count must match generator count")
         for s in symbols:
-            if not _SYMBOL_RE.match(s):
+            if not _SYMBOL_RE.fullmatch(s):
                 raise ValueError(f"invalid symbol {s!r}")
         if len(set(symbols)) != num_generators:
             raise ValueError("symbols must be distinct")
@@ -129,39 +130,6 @@ def tree_str(t, symbols: Sequence[str]) -> str:
     return f"[{tree_str(t[0], symbols)},{tree_str(t[1], symbols)}]"
 
 
-def parse_tree(text: str, ctx: AlgebraContext):
-    """Parse the bracketed string form of a basis tree, e.g. "[x1,[x1,x2]]"."""
-    index = {s: i for i, s in enumerate(ctx.symbols)}
-    pos = 0
-
-    def parse() -> object:
-        nonlocal pos
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
-            left = parse()
-            if pos >= len(text) or text[pos] != ",":
-                raise ValueError(f"expected ',' at offset {pos} in {text!r}")
-            pos += 1
-            right = parse()
-            if pos >= len(text) or text[pos] != "]":
-                raise ValueError(f"expected ']' at offset {pos} in {text!r}")
-            pos += 1
-            return (left, right)
-        m = re.match(r"[a-z][a-z0-9_]*", text[pos:])
-        if not m:
-            raise ValueError(f"expected symbol at offset {pos} in {text!r}")
-        name = m.group(0)
-        if name not in index:
-            raise ValueError(f"unknown symbol {name!r} in {text!r}")
-        pos += len(name)
-        return index[name]
-
-    tree = parse()
-    if pos != len(text):
-        raise ValueError(f"trailing text at offset {pos} in {text!r}")
-    return tree
-
-
 def is_lyndon(w: tuple[int, ...]) -> bool:
     """A word is Lyndon when it is strictly smaller than all proper suffixes."""
     if not w:
@@ -200,6 +168,19 @@ def lyndon_words(num_letters: int, max_len: int) -> Iterator[tuple[int, ...]]:
             w.append(w[len(w) - m])
         while w and w[-1] == num_letters - 1:
             w.pop()
+
+
+def basis_tree(name: str, ctx: AlgebraContext):
+    """The basis tree printed as name by tree_str, e.g. "[x1,[x1,x2]]". Its
+    symbols, read left to right, spell a Lyndon word whose standard bracketing
+    is the tree; any other name is refused."""
+    index = {s: i for i, s in enumerate(ctx.symbols)}
+    word = tuple(index.get(s, -1) for s in _SYMBOL_RE.findall(name))
+    if -1 not in word and len(word) <= ctx.step and is_lyndon(word):
+        t = lyndon_tree(word)
+        if tree_str(t, ctx.symbols) == name:
+            return t
+    raise GradingError(f"{name} is not a basis tree at step {ctx.step}")
 
 
 _HALL_BASIS: dict = {}
@@ -382,7 +363,7 @@ class LieElement:
         clean: dict = {}
         for t, c in terms.items():
             if isinstance(t, str):
-                t = parse_tree(t, ctx)
+                t = basis_tree(t, ctx)
             i = index.get(t)
             if i is None:
                 raise GradingError(

@@ -60,8 +60,11 @@ def _emit(args, payload, lines):
         out = "\n".join(lines) + "\n"
     sys.stdout.write(out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+        except OSError as e:
+            _fail(2, "usage", f"cannot write --out: {e}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,7 @@ def _parse_powers(text: str) -> list[int]:
 def _cmd_growth(args) -> int:
     from .algebra import AlgebraContext
     from .growth import (
+        _check_sample,
         check_commutator_containment,
         check_sum_containment,
         compute_B_chain,
@@ -227,7 +231,7 @@ def _cmd_growth(args) -> int:
         sumset,
         ut_generators,
     )
-    from .identities import containment_certificate
+    from .identities import _check_synthesis_size, containment_certificate
     from .jsonio import rational_str
     from .matrices import nil_zero
 
@@ -235,6 +239,9 @@ def _cmd_growth(args) -> int:
         raise ValueError(f"unknown group family {args.group!r}")
     if args.dim < 3:
         raise ValueError("need dimension at least 3 for a nonabelian report")
+    # the sum containment check needs the sum word at step dim - 1
+    _check_synthesis_size(2, args.dim - 1)
+    _check_sample(args.mode, args.sample_size)
     powers = _parse_powers(args.powers)
     k1, k2 = powers[0], powers[1] if len(powers) > 1 else powers[0]
     n = args.dim - 1

@@ -295,14 +295,20 @@ def _find_min_powers(a: FiniteGroupSet, targets, bound: int, cap: int) -> dict:
     return found
 
 
+def _check_sample(mode: str, sample_size: int) -> None:
+    """Refuse a containment check's mode and sample size before it enumerates:
+    a sample of no element would check nothing and pass."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
+
+
 def _sample(items: list, mode: str, sample_size: int, seed: int) -> list:
     """All of items, or in sampled mode a seeded subset in the same order."""
-    if mode == "sampled":
+    if mode == "sampled" and len(items) > sample_size:
         rng = random.Random(seed)
-        if len(items) > sample_size:
-            return [items[i] for i in sorted(rng.sample(range(len(items)), sample_size))]
-    elif mode != "exhaustive":
-        raise ValueError(f"unknown mode {mode!r}")
+        return [items[i] for i in sorted(rng.sample(range(len(items)), sample_size))]
     return items
 
 
@@ -326,6 +332,7 @@ def check_sum_containment(
         raise ValueError(f"a step-{n} check needs dimension {n + 1}")
     if min(k1, k2) < 1:
         raise ValueError("power must be at least 1")
+    _check_sample(mode, sample_size)
     sw = sum_word(n)
     bound = sw.length * max(k1, k2)
     us = sorted(_log_power(a, k1, cap))
@@ -399,6 +406,7 @@ def check_commutator_containment(
     Each element must decompose exactly as sum of q_i * w_i with w_i in
     log(A^(k_i)); witnesses record one decomposition per checked element.
     """
+    _check_sample(mode, sample_size)
     n = a.dim - 1
     chain = compute_B_chain(a, min(j, n), cap=cap)
     bj = chain[j] if j < len(chain) else frozenset({nil_zero(a.dim)})

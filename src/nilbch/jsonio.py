@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraContext, LieElement, as_fraction, parse_tree, tree_str
+from .algebra import AlgebraContext, LieElement, as_fraction, tree_str
 
 
 def rational_str(q) -> str:
@@ -38,12 +38,7 @@ def lie_to_json(x: LieElement) -> dict:
 def lie_from_json(obj: dict, ctx: AlgebraContext) -> LieElement:
     if not isinstance(obj, dict):
         raise ValueError("a Lie element must be a JSON object")
-    total = LieElement.zero(ctx)
-    for key, val in obj.items():
-        tree = parse_tree(key, ctx)
-        c = parse_rational(val)
-        total = total + LieElement(ctx, {tree: c})
-    return total
+    return LieElement(ctx, {key: parse_rational(val) for key, val in obj.items()})
 
 
 def table_to_json(entries) -> list:

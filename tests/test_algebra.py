@@ -10,6 +10,7 @@ from nilbch.algebra import (
     LieElement,
     ad_power,
     bracket_basis,
+    basis_tree,
     bracket_coords,
     dimensions_by_degree,
     eval_bracket_pattern,
@@ -17,7 +18,6 @@ from nilbch.algebra import (
     hall_basis,
     is_lyndon,
     lyndon_words,
-    parse_tree,
     patterns,
     rightnormed_decomposition,
     tree_degree,
@@ -103,15 +103,41 @@ def test_basis_trees_are_lyndon():
 
 
 def test_tree_string_roundtrip():
-    ctx = AlgebraContext(3, 4)
-    for t in hall_basis(ctx):
-        assert parse_tree(tree_str(t, ctx.symbols), ctx) == t
+    for gens, step in ((1, 6), (2, 8), (3, 5), (4, 4)):
+        ctx = AlgebraContext(gens, step)
+        basis = hall_basis(ctx)
+        names = [tree_str(t, ctx.symbols) for t in basis]
+        assert len(set(names)) == len(names)
+        assert [basis_tree(name, ctx) for name in names] == list(basis)
 
 
-def test_parse_tree_rejects_unknown_symbol():
+def test_basis_tree_rejects_unknown_symbol():
     ctx = AlgebraContext(2, 3)
-    with pytest.raises(ValueError):
-        parse_tree("[x1,x9]", ctx)
+    with pytest.raises(GradingError, match=r"^\[x1,x9\] is not a basis tree at step 3$"):
+        basis_tree("[x1,x9]", ctx)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "[x2,x1]",  # Lyndon word, but not in standard order
+        "[x1,x9]",  # unknown symbol
+        "[x1x2]",  # one unknown symbol, no comma
+        "[x1, x2]",  # the basis word with a space
+        "x1]",  # unbalanced
+        "[[x1,x2],x1]",  # foliage x1 x2 x1 is not Lyndon
+        "[x1,[x1,[x1,x2]]]",  # basis tree of degree 4, past the step
+        "",
+    ],
+)
+def test_basis_tree_refuses_names_that_are_not_basis_trees(name):
+    ctx = AlgebraContext(2, 3)
+    with pytest.raises(GradingError) as info:
+        basis_tree(name, ctx)
+    assert str(info.value) == f"{name} is not a basis tree at step 3"
+    with pytest.raises(GradingError) as info:
+        LieElement(ctx, {name: 1})
+    assert str(info.value) == f"{name} is not a basis tree at step 3"
 
 
 def test_bracket_antisymmetry_and_self_annihilation():

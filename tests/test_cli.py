@@ -155,6 +155,15 @@ def test_extract_bracket_bad_stdin():
         code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text=stdin_text)
         assert code == 2
         assert json.loads(err)["error"] == "validation"
+    # a key must be the printed name of a basis tree, exactly
+    for key in ("[x2,x1]", "[x1, x2]", "[x1,x9]"):
+        stdin_text = json.dumps([{key: "1"}, {"x2": "1"}])
+        code, _, err = run_cli(["extract-bracket", "--step", "2"], stdin_text=stdin_text)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "validation",
+            "message": f"{key} is not a basis tree at step 2",
+        }
 
 
 def test_verify_identities_small():
@@ -333,6 +342,31 @@ def test_growth_validation_errors():
     assert code == 2
 
 
+@pytest.mark.parametrize("dim", [8, 20])
+def test_growth_refuses_a_dimension_past_the_step_cap_at_once(dim):
+    # the sum containment check needs the sum word at step dim - 1; it is
+    # refused before the ball, the cover or the powers are built
+    start = time.perf_counter()
+    code, out, err = run_cli(["growth", "--dim", str(dim), "--radius", "2"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == f'{{"error":"validation","message":"step {dim - 1} exceeds the cap 6"}}\n'
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_growth_refuses_a_sample_size_below_one_at_once(size):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["growth", "--dim", "3", "--radius", "1", "--mode", "sampled", "--sample-size", str(size)]
+    )
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        '{"error":"validation","message":'
+        f'"sample size must be at least 1, got {size}"}}\n'
+    )
+
+
 def test_growth_size_cap_exit():
     code, _, err = run_cli(
         ["growth", "--group", "ut", "--dim", "3", "--radius", "2", "--cap", "40"]
@@ -359,6 +393,17 @@ def test_out_file_mirrors_stdout(tmp_path):
     code, out, _ = run_cli(["synth-sum", "--step", "2", "--out", str(target)])
     assert code == 0
     assert target.read_text() == out
+
+
+def test_unwritable_out_file_is_a_json_error(tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["bch", "--step", "2", "--out", str(target)])
+    assert code == 2
+    # the result still reaches stdout; the error is one JSON line on stderr
+    assert out == '{"x1":"1","x2":"1","[x1,x2]":"1/2"}\n'
+    message = f"cannot write --out: [Errno 2] No such file or directory: '{target}'"
+    assert err == json.dumps({"error": "usage", "message": message}, separators=(",", ":")) + "\n"
+    assert not target.parent.exists()
 
 
 def test_text_format():

@@ -337,6 +337,28 @@ def test_sum_containment_sampled_subset():
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "sampled", "sample_size": 0}, "sample size must be at least 1, got 0"),
+        ({"mode": "sampled", "sample_size": -1}, "sample size must be at least 1, got -1"),
+        ({"mode": "exhaustive", "sample_size": 0}, "sample size must be at least 1, got 0"),
+        ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ],
+)
+def test_containment_checks_refuse_their_sample_before_enumerating(kwargs, message):
+    # a sample of no element would check nothing and pass; neither check
+    # enumerates a power, a log set or a chain level before it refuses
+    a = heisenberg_ball(1)
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_sum_containment(a, 1, 1, 2, **kwargs)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_commutator_containment(a, 1, cert, **kwargs)
+    assert len(a._kept["powers"]) == 1
+    assert a._kept["logs"] == {} and a._kept["chain"] == []
+
+
+@pytest.mark.parametrize(
     "k1, k2, name",
     [(1, 1, "ball"), (1, 1, "generators"), (2, 1, "ball"), (2, 1, "generators"), (1, 1, "ball2")],
 )
