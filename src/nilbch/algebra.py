@@ -207,29 +207,22 @@ def _basis_index(ctx: AlgebraContext) -> dict:
     return got
 
 
-def _mobius(n: int) -> int:
-    out, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    return -out if n > 1 else out
-
-
 def dimensions_by_degree(ctx: AlgebraContext) -> dict[int, int]:
     """Degree -> number of basis elements of that degree, by Witt's formula
     (1/k) sum_{d | k} mu(d) n^(k/d), without building the basis; degrees
-    with no elements are left out."""
-    n = ctx.num_generators
-    out: dict[int, int] = {}
-    for k in range(1, ctx.step + 1):
-        dim = sum(_mobius(d) * n ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
-        if dim:
-            out[k] = dim
-    return out
+    with no elements are left out. Each squarefree d adds its term to each
+    multiple of d, once its proper divisors c have made mu(d) = -sum mu(c)."""
+    n, step = ctx.num_generators, ctx.step
+    mu, sums = [0, 1] + [0] * step, [0] * (step + 1)
+    for d in range(1, step + 1):
+        if mu[d]:
+            power = 1
+            for k in range(d, step + 1, d):
+                power *= n
+                sums[k] += mu[d] * power
+                if k > d:
+                    mu[k] -= mu[d]
+    return {k: total // k for k, total in enumerate(sums) if k and total}
 
 
 # ---------------------------------------------------------------------------

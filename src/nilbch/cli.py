@@ -75,7 +75,7 @@ def _check_law_cap(num_generators: int, step: int, cap: int) -> None:
     table's 2^(step+1) - 4 patterns is past the cap; checked before any work.
     For at most two generators from step 2 on, the Hall dimension is at most
     2^step (each Lyndon word of length k has k distinct rotations, so there
-    are at most 2^k/k), and Witt's sum, O(step^2) big-int work, is skipped."""
+    are at most 2^k/k), and Witt's sum, with n^k for each k <= step, is skipped."""
     from .algebra import AlgebraContext, dimensions_by_degree
 
     ctx = AlgebraContext(num_generators, step)

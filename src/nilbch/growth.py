@@ -6,15 +6,18 @@ containment checks assert the identities that the word synthesis and the
 containment certificates promise. The loops run on triangles (`.tri`
 tuples) with the arithmetic of `matrices.triangles(d)`, looked up before
 each loop; a matrix is built only for what a public function returns, in the
-order first made. The greedy cover recounts a candidate only when it tops a
-heap of stale counts. Reports read canonically sorted triangles (row-major
-entry order), so they are deterministic and independent of set-hash order.
+order first made; logs and bracket levels stay int numerators over one
+denominator. The greedy cover recounts a candidate only when it tops a heap
+of stale counts. Reports read canonically sorted triangles (row-major entry
+order, kept by positive scaling): deterministic, whatever the set-hash order.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict
+from math import lcm
 from operator import attrgetter
 
 from .errors import DEFAULT_SIZE_CAP, InternalInvariantError, SizeCapError
@@ -23,6 +26,7 @@ from .matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
     _dim,
+    _quotients,
     mat_inverse,
     nil_scale,
     nil_zero,
@@ -34,8 +38,10 @@ from .record import Record
 class FiniteGroupSet(Record):
     """A finite set of unipotent matrices of one dimension. It keeps what
     later checks on the same set reuse, all as frozensets of triangles: the
-    powers A^1, A^2, ... it has enumerated, the log sets of those powers, and
-    the levels of its bracket chain."""
+    powers A^1, A^2, ... it has enumerated, their log sets as int numerators
+    over den = lcm(1..d-1) e^(d-1), and its bracket chain, B_j over
+    den^(j+1). e times any entry of a power is an int (an entry k places
+    above the diagonal sums k-fold products at most); in UT(d, Z), e = 1."""
 
     __slots__ = ("dim", "elements", "_kept")
 
@@ -43,7 +49,9 @@ class FiniteGroupSet(Record):
         if elements and _dim(UnipotentMatrix, *elements) != dim:
             raise ValueError("elements must have the dimension of the set")
         super().__init__(dim, elements)
-        kept = {"powers": [frozenset(_tris(elements))], "logs": {}, "chain": []}
+        tris, n = frozenset(_tris(elements)), max(dim - 1, 0)
+        e = lcm(*[v.denominator for t in tris for v in t]) ** n
+        kept = {"powers": [tris], "logs": {}, "chain": [], "e": e, "den": lcm(*range(1, dim)) * e**n}
         object.__setattr__(self, "_kept", kept)
 
     def __len__(self) -> int:
@@ -119,9 +127,9 @@ def _grow(seen: dict, new, factors, mul, what: str, cap: int) -> list:
     return nxt
 
 
-def _wrap(kind: type, d: int, tris) -> frozenset:
-    """The matrices of the triangles, added to a set in the order given."""
-    return frozenset({kind._raw(d, t) for t in tris})
+def _wrap(kind: type, d: int, tris, den: int = 1) -> frozenset:
+    """The matrices of the numerator triangles over den, in the order given."""
+    return frozenset({kind._raw(d, _quotients(t, den)) for t in tris})
 
 
 def _tris(elements) -> list:
@@ -225,19 +233,21 @@ def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:
 
 
 def _log_power(a: FiniteGroupSet, p: int, cap: int) -> frozenset:
-    """log(A^p) as triangles, taken once per power and kept on `a`."""
+    """log(A^p) as int numerator triangles, taken once per power and kept."""
     power = _power(a, p, cap)
-    logs = a._kept["logs"]
+    logs, e = a._kept["logs"], a._kept["e"]
     got = logs.get(p)
     if got is None:
-        got = logs[p] = frozenset(map(triangles(a.dim).log, power))
+        log_num = triangles(a.dim).log_num
+        ints = power if e == 1 else [[(v * e).numerator for v in t] for t in power]
+        got = logs[p] = frozenset([log_num(t, e)[0] for t in ints])
         if len(got) != len(power):
             raise InternalInvariantError("log collided on a finite set")
     return got
 
 
 def log_set(a: FiniteGroupSet) -> frozenset:
-    return _wrap(NilpotentMatrix, a.dim, _log_power(a, 1, DEFAULT_SIZE_CAP))
+    return _wrap(NilpotentMatrix, a.dim, _log_power(a, 1, DEFAULT_SIZE_CAP), a._kept["den"])
 
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
@@ -252,17 +262,21 @@ def scale_set(s, q) -> frozenset:
 def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport:
     """Greedy cover of AA by translates x*A with x drawn from AA*A^-1.
 
-    T_x = xA ∩ AA is computed once per candidate x. Each round takes the first
-    x in canonical order with the most of T_x still uncovered, so ties break
+    T_x = xA ∩ AA is the set of z in AA with z*y = x for a y in A^-1, so
+    one pass over AA x A^-1 builds it. Each round takes the first x in
+    canonical order with the most of T_x still uncovered, so ties break
     deterministically and the translate list is reproducible. Counts only
     fall, so a heap of (-count, index) recounts only its top, which wins
     when its count is still current.
     """
     aa = product_set(a, a, cap=cap)
-    candidates = sorted(_tris(product_set(aa, inverse_set(a), cap=cap).elements))
-    uncovered = set(_tris(aa.elements))
-    mul, base = triangles(a.dim).mul, _tris(a.elements)
-    hits = [{mul(x, y) for y in base} & uncovered for x in candidates]
+    mul, inverses, found = triangles(a.dim).mul, _tris(inverse_set(a).elements), defaultdict(set)
+    for z in _tris(aa.elements):
+        for y in inverses:
+            found[mul(z, y)].add(z)
+        _check_cap("product set", len(found), cap)
+    candidates = sorted(found)
+    hits, uncovered = [found[x] for x in candidates], set(_tris(aa.elements))
     heap = [(-len(hit), i) for i, hit in enumerate(hits)]
     heapq.heapify(heap)
     translates = []
@@ -271,7 +285,7 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
         count = len(hits[i] & uncovered)
         if count == -stale:
             if not count:
-                raise SizeCapError("cover stalled", len(uncovered), cap)
+                raise InternalInvariantError(f"cover stalled with {len(uncovered)} uncovered")
             translates.append(UnipotentMatrix._raw(a.dim, candidates[i]))
             uncovered -= hits[i]
             count = 0
@@ -280,12 +294,12 @@ def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport
 
 
 def _find_min_powers(a: FiniteGroupSet, targets, bound: int, cap: int) -> dict:
-    """Least p <= bound with target in log(A^p), enumerating the powers only
-    until every target is found. exp is a bijection onto the unipotent
+    """Least p <= bound with target / den in log(A^p), enumerating the powers
+    only until every target is found. exp is a bijection onto the unipotent
     triangles with inverse log, so each target is exponentiated once and
     looked up in A^p, p = 1, 2, ...: no log is taken."""
-    exp = triangles(a.dim).exp
-    remaining = {exp(t): t for t in set(targets)}
+    exp_num, den = triangles(a.dim).exp_num, a._kept["den"]
+    remaining = {_quotients(*exp_num(t, den)): t for t in set(targets)}
     found: dict = {}
     for p in range(1, bound + 1):
         if not remaining:
@@ -338,9 +352,7 @@ def check_sum_containment(
     us = sorted(_log_power(a, k1, cap))
     vs = sorted(_log_power(a, k2, cap))
     pairs = _sample([(u, v) for u in us for v in vs], mode, sample_size, seed)
-    tri = triangles(a.dim)
-    add, scale = tri.add, tri.scale
-    targets = [scale(add(u, v), sw.m) for u, v in pairs]
+    targets = [tuple([sw.m * (x + y) for x, y in zip(u, v)]) for u, v in pairs]
     min_power = _find_min_powers(a, targets, bound, cap)
     found = [min_power.get(t) for t in targets]
     failures = sum(1 for p in found if p is None)
@@ -362,11 +374,12 @@ def compute_B_chain(
     a: FiniteGroupSet, n: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[frozenset]:
     """B_0 = log A and B_j = brackets of B_0 against B_(j-1), up to B_n.
-    The levels are kept on `a`; a kept level still meets the cap.
+    The levels are kept on `a`, B_j as int numerators over den^(j+1); a
+    kept level still meets the cap.
 
     Nilpotence forces B_n = {0} when A lives in UT(n+1, Z).
     """
-    chain = a._kept["chain"]
+    chain, den = a._kept["chain"], a._kept["den"]
     if not chain:
         chain.append(_log_power(a, 1, DEFAULT_SIZE_CAP))
     bracket = triangles(a.dim).bracket
@@ -375,7 +388,7 @@ def compute_B_chain(
             _check_cap("bracket set", len(chain[j]), cap)
         else:
             chain.append(frozenset(_image(bracket, chain[0], chain[-1], "bracket set", cap)))
-    return [_wrap(NilpotentMatrix, a.dim, level) for level in chain[: n + 1]]
+    return [_wrap(NilpotentMatrix, a.dim, b, den ** (j + 1)) for j, b in enumerate(chain[: n + 1])]
 
 
 def _witness_search(target, term_sets, idx, add):
@@ -415,17 +428,22 @@ def check_commutator_containment(
         failures = sum(1 for x in bj if x != nil_zero(a.dim))
         witnesses = tuple((x, ()) for x in bj if x == nil_zero(a.dim))
         return BracketContainmentReport(j, len(bj), len(bj), failures, witnesses)
-    tri = triangles(a.dim)
-    add, scale = tri.add, tri.scale
+    # B_j and each q_i log(A^(k_i)) go over one denominator: ints from here on
+    den, qs, add = a._kept["den"], cert.rationals, triangles(a.dim).add
+    common = lcm(*[v.denominator for x in bj for v in x.tri], *[den * q.denominator for q in qs])
+    factors = [q.numerator * common // (den * q.denominator) for q in qs]
     term_sets = [
-        frozenset([scale(t, q) for t in _log_power(a, k, cap)])
-        for q, k in zip(cert.rationals, cert.exponents)
+        frozenset([tuple([c * v for v in t]) for t in _log_power(a, k, cap)])
+        for c, k in zip(factors, cert.exponents)
     ]
     # earlier sets are scanned in canonical order, each term negated once
     term_sets[:-1] = [[(t, tuple([-v for v in t])) for t in sorted(s)] for s in term_sets[:-1]]
     targets = _sample(sorted(bj, key=attrgetter("tri")), mode, sample_size, seed)
-    results = [(x, _witness_search(x.tri, term_sets, 0, add)) for x in targets]
+    scaled = [tuple([(v * common).numerator for v in x.tri]) for x in targets]
+    results = [(x, _witness_search(t, term_sets, 0, add)) for x, t in zip(targets, scaled)]
     failures = sum(1 for _, w in results if w is None)
     raw = NilpotentMatrix._raw
-    witnesses = tuple((x, tuple(raw(n + 1, t) for t in w)) for x, w in results if w is not None)
+    witnesses = tuple(
+        (x, tuple(raw(n + 1, _quotients(t, common)) for t in w)) for x, w in results if w is not None
+    )
     return BracketContainmentReport(j, len(bj), len(targets), failures, witnesses)

@@ -17,7 +17,8 @@ series) and xy - yx (bracket), each generated as straight-line code, one
 tuple display built from the triangle's index pairs. One truncated series
 gives exp, log and the inverse; it clears the entries' common denominator
 and the coefficients' denominators, runs Horner's rule in ints and divides
-each entry once at the end.
+each entry once at the end; the growth lab keeps logs as int numerators over
+D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket level j over D^(j+1).
 
 Entries are ints where integral and Fractions otherwise: the constructor,
 exp, log, the inverse and nil_scale store every integral entry as an int,
@@ -134,8 +135,9 @@ def triangles(d: int) -> SimpleNamespace:
     xy - yx; both are straight-line code, one tuple display each, compiled
     from the indices of `_pairs(d)`. inverse(x) and log(x) read x as I + x,
     exp(x) as a nilpotent x; all three are truncated series by Horner's
-    rule on a third display, base + xy. power(x, k) squares and multiplies;
-    commutator(g, h) is (gh)(hg)^-1, one inverse.
+    rule on a third display, base + xy (log_num and exp_num: undivided, on
+    int numerators). power(x, k) squares and multiplies; commutator(g, h)
+    is (gh)(hg)^-1, one inverse.
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
@@ -165,7 +167,9 @@ def triangles(d: int) -> SimpleNamespace:
     namespace: dict = {}
     exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
     mul, prod, zero, ks = namespace["mul"], namespace["prod"], (0,) * n, range(1, d)
-    inverse = _horner(prod, [(-1) ** k for k in ks])
+    inverse = _divided(_horner(prod, [(-1) ** k for k in ks]))
+    exp_num = _horner(prod, [Fraction(1, factorial(k)) for k in ks])
+    log_num = _horner(prod, [Fraction((-1) ** (k + 1), k) for k in ks])
 
     def power(t: Tri, k: int) -> Tri:
         out = None
@@ -191,8 +195,10 @@ def triangles(d: int) -> SimpleNamespace:
         inverse=inverse,
         power=power,
         commutator=commutator,
-        exp=_horner(prod, [Fraction(1, factorial(k)) for k in ks]),
-        log=_horner(prod, [Fraction((-1) ** (k + 1), k) for k in ks]),
+        exp=_divided(exp_num),
+        log=_divided(log_num),
+        exp_num=exp_num,
+        log_num=log_num,
     )
 
 
@@ -225,27 +231,30 @@ def _scale(tri: Tri, c) -> Tri:
 
 
 def _horner(prod, coeffs):
-    """The triangle of the sum of c_k N^k over 0 < k < d, for the d - 1
-    coefficients c_k, the whole series since N^d = 0, in ints. With
-    N = M / D (D the common denominator of the entries) and c_k = a_k / L,
-    the sum is S / (L D^(d-1)) where, by Horner's rule,
-    S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))); each entry is
-    divided once at the end."""
+    """The sum of c_k N^k over 0 < k < d, for the d - 1 coefficients c_k,
+    the whole series since N^d = 0, in ints. With N = M / D (M ints) and
+    c_k = a_k / L, the sum is S / (L D^(d-1)) where, by Horner's rule,
+    S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))). series(M, D)
+    returns (S, L D^(d-1)); `_divided` reads and writes triangles."""
     cs = [Fraction(c) for c in coeffs]
     lcd = lcm(*[c.denominator for c in cs])
     a = [c.numerator * (lcd // c.denominator) for c in reversed(cs)]
 
-    def series(n: Tri) -> Tri:
-        m, den = _numerators(n)
+    def series(m: Sequence[int], den: int) -> tuple[Tri, int]:
         acc, scale = [], 1
         for ak in a:
             c = ak * scale
             base = [v * c for v in m]
             acc = prod(m, acc, base) if acc else base
             scale *= den
-        return _quotients(acc, lcd * scale)
+        return tuple(acc), lcd * scale
 
     return series
+
+
+def _divided(series):
+    """series on a triangle, each entry divided once at the end."""
+    return lambda tri: _quotients(*series(*_numerators(tri)))
 
 
 def _dim(kind: type, *ms) -> int:

@@ -87,6 +87,16 @@ def test_witt_dimensions_match_the_enumerated_basis(letters):
         assert list(dims.items()) == list(counted.items()), (letters, step)
 
 
+def test_witt_sieve_matches_the_divisor_loop():
+    # the loop over every divisor of each degree, which the sieve replaced,
+    # is its oracle: the same dict, degrees in order, zero degrees left out
+    for letters in range(1, 7):
+        for step in range(1, 41):
+            want = [(k, witt_dimension(letters, k)) for k in range(1, step + 1)]
+            got = dimensions_by_degree(AlgebraContext(letters, step))
+            assert list(got.items()) == [(k, v) for k, v in want if v], (letters, step)
+
+
 def test_two_generator_dims_through_degree_five():
     dims = dimensions_by_degree(AlgebraContext(2, 5))
     assert [dims[d] for d in range(1, 6)] == [2, 1, 2, 3, 6]

@@ -14,7 +14,10 @@ from nilbch.algebra import AlgebraContext
 from nilbch.cli import main
 from nilbch.errors import SizeCapError
 from nilbch.growth import (
+    BracketContainmentReport,
+    CoverReport,
     FiniteGroupSet,
+    SumContainmentReport,
     check_commutator_containment,
     check_sum_containment,
     compute_B_chain,
@@ -29,14 +32,17 @@ from nilbch.growth import (
     sumset,
     ut_generators,
 )
-from nilbch.identities import containment_certificate
+from nilbch.identities import ContainmentCertificate, containment_certificate, sum_word
 from nilbch.matrices import (
+    NilpotentMatrix,
     UnipotentMatrix,
+    mat_exp,
     mat_identity,
     mat_inverse,
     mat_log,
     mat_mul,
     nil_add,
+    nil_bracket,
     nil_scale,
     nil_zero,
 )
@@ -220,7 +226,7 @@ def test_report_takes_each_log_set_and_the_chain_once(monkeypatch):
     # one growth report: log(A^p) once for each power p that the sum and
     # bracket checks read, and the brackets of B_1..B_n once
     logs, brackets = [], []
-    count_triangle_calls(monkeypatch, "log", logs)
+    count_triangle_calls(monkeypatch, "log_num", logs)
     count_triangle_calls(monkeypatch, "bracket", brackets)
     out = io.StringIO()
     with redirect_stdout(out):
@@ -496,3 +502,186 @@ def test_size_cap_trips():
     a = heisenberg_ball(1)
     with pytest.raises(SizeCapError):
         product_set(a, a, cap=10)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction route: the differential oracle of the int-numerator logs, the
+# one-denominator sums, term sets and witness search, and the cover's hits
+# built by inversion
+
+
+def tri_order(m):
+    return m.tri
+
+
+def fraction_logs(a, k: int) -> frozenset:
+    """log(A^k) by mat_log over the literal power."""
+    return frozenset(mat_log(g) for g in literal_powers(a, k)[-1].elements)
+
+
+def fraction_chain(a, n: int) -> list:
+    chain = [fraction_logs(a, 1)]
+    for _ in range(n):
+        chain.append(frozenset(nil_bracket(x, y) for x in chain[0] for y in chain[-1]))
+    return chain
+
+
+def fraction_min_powers(a, targets, bound: int) -> dict:
+    """Least p <= bound with target in log(A^p): mat_exp of each target,
+    looked up in the literal powers."""
+    exps = {t: mat_exp(t) for t in targets}
+    found, power = {}, a
+    for p in range(1, bound + 1):
+        if p > 1:
+            power = product_set(power, a)
+        found.update((t, p) for t, g in exps.items() if t not in found and g in power.elements)
+        if len(found) == len(exps):
+            break
+    return found
+
+
+def fraction_sum_report(a, k1: int, k2: int, n: int):
+    sw = sum_word(n)
+    bound = sw.length * max(k1, k2)
+    us = sorted(fraction_logs(a, k1), key=tri_order)
+    vs = sorted(fraction_logs(a, k2), key=tri_order)
+    targets = [nil_scale(nil_add(u, v), sw.m) for u in us for v in vs]
+    min_power = fraction_min_powers(a, set(targets), bound)
+    found = [min_power.get(t) for t in targets]
+    witnessed = [p for p in found if p is not None]
+    return SumContainmentReport(
+        n, k1, k2, sw.m, sw.length, bound, len(targets), found.count(None), max(witnessed, default=0)
+    )
+
+
+def fraction_bracket_report(a, j: int, cert, mode="exhaustive", sample_size=50, seed=7):
+    bj = fraction_chain(a, j)[j]
+    term_sets = [
+        frozenset(nil_scale(x, q) for x in fraction_logs(a, k))
+        for q, k in zip(cert.rationals, cert.exponents)
+    ]
+    term_sets[:-1] = [sorted(s, key=tri_order) for s in term_sets[:-1]]
+    targets = growth._sample(sorted(bj, key=tri_order), mode, sample_size, seed)
+    results = [(x, witness_search_unhoisted(x, term_sets, 0)) for x in targets]
+    witnesses = tuple((x, w) for x, w in results if w is not None)
+    return BracketContainmentReport(j, len(bj), len(targets), len(results) - len(witnesses), witnesses)
+
+
+def fraction_cover(a):
+    translates = greedy_cover_by_set_scan(a)
+    return CoverReport(len(a), len(product_set(a, a)), len(translates), translates)
+
+
+def rational_ball(d: int):
+    """A radius-1 ball on generators with entries in sixths and thirds: the
+    entries of its square reach the denominator 36 = 6^(d-1) at d = 3, so
+    its logs are over more than lcm(1..d-1)."""
+    gens = []
+    for i in range(d - 1):
+        rows = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+        rows[i][i + 1] = Fraction(1 + 4 * (i % 2), 6)
+        if i + 2 < d:
+            rows[i][i + 2] = Fraction(-1, 3)
+        gens.append(UnipotentMatrix(rows))
+    return generate_ball(d, gens + [mat_inverse(g) for g in gens], 1)
+
+
+def one_sided_set():
+    """{1, x, y}^2 for the generators x, y of UT(3, Z): no inverse of x or y,
+    so A^-1 is not A."""
+    s = FiniteGroupSet(3, frozenset([mat_identity(3), *ut_generators(3)[::2]]))
+    return product_set(s, s)
+
+
+ORACLE_SETS = {
+    **{f"ut3r{r}": lambda r=r: heisenberg_ball(r) for r in (1, 2, 3)},
+    "ut4r1": lambda: generate_ball(4, ut_generators(4), 1),
+    **{f"image{seed}": lambda seed=seed: heisenberg_image_ball(seed) for seed in (0, 1)},
+    "rational3": lambda: rational_ball(3),
+    "rational4": lambda: rational_ball(4),
+    "one_sided": one_sided_set,
+}
+# the sum containment is a theorem, and cheap to enumerate, on these
+SUM_SETS = ["ut3r1", "ut3r2", "ut3r3", "image0", "image1"]
+# small exponents with rationals over 2 and 3: the term sets' denominators
+# differ from the chain level's
+SMALL_CERT = ContainmentCertificate(1, (Fraction(2), Fraction(-1, 2), Fraction(-3, 2)), (1, 2, 1), 1, 0)
+DEEP_CERT = ContainmentCertificate(2, (Fraction(1, 3), Fraction(-3, 4)), (1, 1), 1, 0)
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_logs_and_chain_match_fraction_route(name):
+    a = ORACLE_SETS[name]()
+    n = a.dim - 1
+    assert log_set(a) == fraction_logs(a, 1)
+    assert compute_B_chain(a, n) == fraction_chain(a, n)
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_cover_matches_fraction_route(name):
+    a = ORACLE_SETS[name]()
+    assert find_cover(a) == fraction_cover(a)
+
+
+@pytest.mark.parametrize("name", SUM_SETS)
+def test_sum_report_matches_fraction_route(name):
+    a = ORACLE_SETS[name]()
+    for k1, k2 in ((1, 1), (2, 1)):
+        assert check_sum_containment(a, k1, k2, 2) == fraction_sum_report(a, k1, k2, 2)
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_min_powers_match_fraction_route(name):
+    # the targets m(log a + log b) for a, b in A, found up to A^2: int
+    # numerators over the set's log denominator against Fraction triangles
+    a = ORACLE_SETS[name]()
+    m = sum_word(a.dim - 1).m
+    den = a._kept["den"]
+    logs = growth._log_power(a, 1, 10**6)
+    targets = [tuple(m * (x + y) for x, y in zip(u, v)) for u in logs for v in logs]
+    got = growth._find_min_powers(a, targets, 2, 10**6)
+    want = fraction_min_powers(a, {nil_scale(nil_add(u, v), m) for u in log_set(a) for v in log_set(a)}, 2)
+    assert {tuple(Fraction(v, den) for v in t): p for t, p in got.items()} == {
+        x.tri: p for x, p in want.items()
+    }
+    assert want
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_bracket_report_matches_fraction_route(name):
+    a = ORACLE_SETS[name]()
+    certs = [SMALL_CERT]
+    if a.dim == 3:
+        certs.append(containment_certificate(1, AlgebraContext(2, 2)))
+    if a.dim == 4:
+        certs.append(DEEP_CERT)
+    for cert in certs:
+        got = check_commutator_containment(a, cert.j, cert)
+        assert got == fraction_bracket_report(a, cert.j, cert)
+        sampled = check_commutator_containment(a, cert.j, cert, mode="sampled", sample_size=2, seed=3)
+        assert sampled == fraction_bracket_report(a, cert.j, cert, "sampled", 2, 3)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_sets_of_matrices_without_entries(d):
+    # no entry above the diagonal: every log, bracket and witness is empty
+    a = FiniteGroupSet(d, frozenset({mat_identity(d)}))
+    empty = NilpotentMatrix._raw(d, ())
+    assert compute_B_chain(a, 1) == [frozenset({empty})] * 2
+    report = check_commutator_containment(a, 1, SMALL_CERT)
+    assert report == BracketContainmentReport(1, 1, 1, 0, ((empty, (empty,) * 3),))
+
+
+def is_exact_entry(v) -> bool:
+    """An int when integral, a Fraction otherwise."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
+@pytest.mark.parametrize("name", ORACLE_SETS)
+def test_entries_are_ints_where_integral(name):
+    a = ORACLE_SETS[name]()
+    report = check_commutator_containment(a, 1, SMALL_CERT)
+    matrices = [*log_set(a), *(x for level in compute_B_chain(a, a.dim - 1) for x in level)]
+    matrices += [m for x, w in report.witnesses for m in (x, *w)]
+    assert report.witnesses
+    assert all(is_exact_entry(v) for x in matrices for v in x.tri)
