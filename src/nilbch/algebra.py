@@ -13,9 +13,12 @@ element fall out by repeatedly peeling the smallest word in its support.
 Peeling doubles as a validity check, since a nonzero remainder whose smallest
 word is not Lyndon can only come from a non-Lie input.
 
-All memo tables are keyed by tree shape alone (no alphabet size, no step), so
-they are shared across contexts. Writes are idempotent, which keeps the
-tables safe under concurrent readers without locking.
+Each process-lifetime table is the function that fills it under
+functools.cache, keyed by what it depends on: the tree tables by tree shape
+alone (no alphabet size, no step), so contexts share them, and the basis and
+the right-normed solvers by generator count and degree. Every caller shares a
+cached value, so none may mutate it; concurrent callers may compute an entry
+twice, equal both times, so no lock is needed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import cache
 from typing import Iterator, Mapping, Sequence
 
 from . import series
@@ -113,15 +117,10 @@ def tree_foliage(t) -> tuple[int, ...]:
     return tree_foliage(t[0]) + tree_foliage(t[1])
 
 
-_DEGREE: dict = {}
-
-
+@cache
 def tree_degree(t) -> int:
     """Leaf count of a tree, memoised: the bracket kernel reads it per term."""
-    got = _DEGREE.get(t)
-    if got is None:
-        got = _DEGREE[t] = 1 if isinstance(t, int) else tree_degree(t[0]) + tree_degree(t[1])
-    return got
+    return 1 if isinstance(t, int) else tree_degree(t[0]) + tree_degree(t[1])
 
 
 def tree_str(t, symbols: Sequence[str]) -> str:
@@ -137,22 +136,15 @@ def is_lyndon(w: tuple[int, ...]) -> bool:
     return all(w < w[i:] for i in range(1, len(w)))
 
 
-_LYNDON_TREE: dict = {}
-
-
+@cache
 def lyndon_tree(w: tuple[int, ...]):
     """Standard bracketing of a Lyndon word: split before its longest proper
     Lyndon suffix and recurse."""
     if len(w) == 1:
         return w[0]
-    got = _LYNDON_TREE.get(w)
-    if got is not None:
-        return got
     for i in range(1, len(w)):
         if is_lyndon(w[i:]):
-            t = (lyndon_tree(w[:i]), lyndon_tree(w[i:]))
-            _LYNDON_TREE[w] = t
-            return t
+            return (lyndon_tree(w[:i]), lyndon_tree(w[i:]))
     raise InternalInvariantError(f"{w!r} is not a Lyndon word")
 
 
@@ -183,28 +175,23 @@ def basis_tree(name: str, ctx: AlgebraContext):
     raise GradingError(f"{name} is not a basis tree at step {ctx.step}")
 
 
-_HALL_BASIS: dict = {}
+@cache
+def _basis(num_generators: int, step: int) -> tuple:
+    """Basis trees ordered by (degree, foliage)."""
+    words = sorted(lyndon_words(num_generators, step), key=lambda w: (len(w), w))
+    return tuple(lyndon_tree(w) for w in words)
 
 
 def hall_basis(ctx: AlgebraContext) -> tuple:
     """Basis trees ordered by (degree, foliage); cached per (L, step)."""
-    key = (ctx.num_generators, ctx.step)
-    got = _HALL_BASIS.get(key)
-    if got is None:
-        words = sorted(lyndon_words(ctx.num_generators, ctx.step), key=lambda w: (len(w), w))
-        got = _HALL_BASIS[key] = tuple(lyndon_tree(w) for w in words)
-    return got
+    return _basis(ctx.num_generators, ctx.step)
 
 
-_BASIS_INDEX: dict = {}
-
-
-def _basis_index(ctx: AlgebraContext) -> dict:
-    key = (ctx.num_generators, ctx.step)
-    got = _BASIS_INDEX.get(key)
-    if got is None:
-        got = _BASIS_INDEX[key] = {t: i for i, t in enumerate(hall_basis(ctx))}
-    return got
+@cache
+def _basis_index(num_generators: int, step: int) -> dict:
+    """Each basis tree's position in the basis; cached apart from the trees,
+    which the hall listing reads without an index."""
+    return {t: i for i, t in enumerate(_basis(num_generators, step))}
 
 
 def dimensions_by_degree(ctx: AlgebraContext) -> dict[int, int]:
@@ -228,23 +215,15 @@ def dimensions_by_degree(ctx: AlgebraContext) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 # structure constants via associative expansion
 
-_TREE_ASSOC: dict = {}
-
-
+@cache
 def tree_assoc(t) -> dict:
     """Expansion of a bracket tree in the free associative algebra
     (words mapped to integer coefficients)."""
     if isinstance(t, int):
         return {(t,): 1}
-    got = _TREE_ASSOC.get(t)
-    if got is None:
-        left, right = tree_assoc(t[0]), tree_assoc(t[1])
-        deg = tree_degree(t)
-        got = series.sub(
-            series.mul_trunc(left, right, deg), series.mul_trunc(right, left, deg)
-        )
-        _TREE_ASSOC[t] = got
-    return got
+    left, right = tree_assoc(t[0]), tree_assoc(t[1])
+    deg = tree_degree(t)
+    return series.sub(series.mul_trunc(left, right, deg), series.mul_trunc(right, left, deg))
 
 
 def extract_lie_coords(p: Mapping) -> dict:
@@ -283,26 +262,16 @@ def extract_lie_coords(p: Mapping) -> dict:
     return coords
 
 
-_BRACKET_BASIS: dict = {}
-
-
+@cache
 def bracket_basis(t1, t2) -> dict:
     """Lyndon coordinates of the bracket of two basis trees (integer values)."""
     if t1 == t2:
         return {}
-    got = _BRACKET_BASIS.get((t1, t2))
-    if got is not None:
-        return got
-    rev = _BRACKET_BASIS.get((t2, t1))
-    if rev is not None:
-        got = {t: -c for t, c in rev.items()}
-    else:
-        a1, a2 = tree_assoc(t1), tree_assoc(t2)
-        deg = tree_degree(t1) + tree_degree(t2)
-        p = series.sub(series.mul_trunc(a1, a2, deg), series.mul_trunc(a2, a1, deg))
-        got = extract_lie_coords(p)
-    _BRACKET_BASIS[(t1, t2)] = got
-    return got
+    a1, a2 = tree_assoc(t1), tree_assoc(t2)
+    deg = tree_degree(t1) + tree_degree(t2)
+    return extract_lie_coords(
+        series.sub(series.mul_trunc(a1, a2, deg), series.mul_trunc(a2, a1, deg))
+    )
 
 
 def bracket_coords(a: Mapping, b: Mapping, step: int) -> dict:
@@ -351,7 +320,7 @@ class LieElement:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: AlgebraContext, terms: Mapping):
-        index = _basis_index(ctx)
+        index = _basis_index(ctx.num_generators, ctx.step)
         basis = hall_basis(ctx)
         clean: dict = {}
         for t, c in terms.items():
@@ -466,7 +435,7 @@ class LieElement:
 
     def sorted_terms(self) -> list:
         """(tree, coefficient) pairs in basis order."""
-        index = _basis_index(self.ctx)
+        index = _basis_index(self.ctx.num_generators, self.ctx.step)
         return sorted(self.terms.items(), key=lambda item: index[item[0]])
 
     def __str__(self) -> str:
@@ -538,34 +507,28 @@ def eval_bracket_pattern(
     return rightnormed_fold(pattern, args, LieElement.bracket, {})
 
 
-_RN_SOLVER: dict = {}
-
-
+@cache
 def _rightnormed_solver(num_generators: int, arity: int):
     """Pivot patterns, their coordinate block's inverse as (den, int rows),
     and the degree's basis trees. Columns are the right-normed generator
     brackets h_alpha in lexicographic pattern order; the pivot columns are
     the lexicographically first spanning subset, which fixes a deterministic
     decomposition."""
-    key = (num_generators, arity)
-    if key not in _RN_SOLVER:
-        ctx = AlgebraContext(num_generators, arity)
-        basis = tuple(t for t in hall_basis(ctx) if tree_degree(t) == arity)
-        row_of = {t: r for r, t in enumerate(basis)}
-        units = [{i: 1} for i in range(num_generators)]
-        op, memo = (lambda u, v: bracket_coords(u, v, arity)), {}  # one memo per degree
-        cols = ({row_of[t]: c for t, c in rightnormed_fold(a, units, op, memo).items()}
-                for a in patterns(num_generators, arity))
-        try:
-            chosen, den, rows = spanning_inverse(cols, len(basis))
-        except InternalInvariantError as e:
-            raise InternalInvariantError(
-                f"right-normed brackets fail to span degree {arity} over {num_generators} generators"
-            ) from e
-        picked = set(chosen)
-        pivots = tuple(a for j, a in enumerate(patterns(num_generators, arity)) if j in picked)
-        _RN_SOLVER[key] = (pivots, den, rows, basis)
-    return _RN_SOLVER[key]
+    basis = tuple(t for t in _basis(num_generators, arity) if tree_degree(t) == arity)
+    row_of = {t: r for r, t in enumerate(basis)}
+    units = [{i: 1} for i in range(num_generators)]
+    op, memo = (lambda u, v: bracket_coords(u, v, arity)), {}  # one memo per degree
+    cols = ({row_of[t]: c for t, c in rightnormed_fold(a, units, op, memo).items()}
+            for a in patterns(num_generators, arity))
+    try:
+        chosen, den, rows = spanning_inverse(cols, len(basis))
+    except InternalInvariantError as e:
+        raise InternalInvariantError(
+            f"right-normed brackets fail to span degree {arity} over {num_generators} generators"
+        ) from e
+    picked = set(chosen)
+    pivots = tuple(a for j, a in enumerate(patterns(num_generators, arity)) if j in picked)
+    return pivots, den, rows, basis
 
 
 def rightnormed_decomposition(x: LieElement, degree: int | None = None) -> dict:

@@ -18,6 +18,7 @@ the table route. All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import factorial, lcm
 
 from . import series
@@ -62,27 +63,21 @@ def _bch_series(x: LieElement, y: LieElement) -> LieElement:
     return LieElement._raw(x.ctx, extract_lie_coords(z))
 
 
-_LAW: dict = {}
-
-
+@cache
 def _law_table(step: int) -> tuple:
     """(den, entries): the coefficients of bch(x1, x2) - x1 - x2 on two
     letters as integer numerators over one common denominator, entries
     (pattern, numerator) ordered by degree and then pattern. Built by the
     series route, as bch itself reads this table."""
-    got = _LAW.get(step)
-    if got is None:
-        ctx = AlgebraContext(2, step)
-        x, y = ctx.generators()
-        defect = _bch_series(x, y) - x - y
-        table = [
-            entry
-            for j in range(2, step + 1)
-            for entry in sorted(rightnormed_decomposition(defect, j).items())
-        ]
-        den = lcm(*[c.denominator for _, c in table])
-        got = _LAW[step] = (den, tuple((alpha, int(c * den)) for alpha, c in table))
-    return got
+    x, y = AlgebraContext(2, step).generators()
+    defect = _bch_series(x, y) - x - y
+    table = [
+        entry
+        for j in range(2, step + 1)
+        for entry in sorted(rightnormed_decomposition(defect, j).items())
+    ]
+    den = lcm(*[c.denominator for _, c in table])
+    return den, tuple((alpha, int(c * den)) for alpha, c in table)
 
 
 def _integral(terms: dict) -> tuple:

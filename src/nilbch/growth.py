@@ -6,10 +6,11 @@ containment checks assert the identities that the word synthesis and the
 containment certificates promise. The loops run on triangles (`.tri`
 tuples) with the arithmetic of `matrices.triangles(d)`, looked up before
 each loop; a matrix is built only for what a public function returns, in the
-order first made; logs and bracket levels stay int numerators over one
-denominator. The greedy cover recounts a candidate only when it tops a heap
-of stale counts. Reports read canonically sorted triangles (row-major entry
-order, kept by positive scaling): deterministic, whatever the set-hash order.
+order first made; logs, bracket levels and sumsets stay int numerators over
+one denominator. The greedy cover recounts a candidate only when it tops a
+heap of stale counts. Reports read canonically sorted triangles (row-major
+entry order, kept by positive scaling): deterministic, whatever the set-hash
+order.
 """
 
 from __future__ import annotations
@@ -251,8 +252,13 @@ def log_set(a: FiniteGroupSet) -> frozenset:
 
 
 def sumset(s, t, *, cap: int = DEFAULT_SIZE_CAP) -> frozenset:
+    """{x + y : x in s, y in t}, added as int numerators over the lcm of all
+    the entries' denominators and divided once."""
     d = _dim(NilpotentMatrix, *s, *t) if s and t else 0
-    return _wrap(NilpotentMatrix, d, _image(triangles(d).add, _tris(s), _tris(t), "sumset", cap))
+    tris = _tris(s), _tris(t)
+    den = lcm(*[v.denominator for ts in tris for x in ts for v in x])
+    xs, ys = ([tuple([v.numerator * (den // v.denominator) for v in x]) for x in ts] for ts in tris)
+    return _wrap(NilpotentMatrix, d, _image(triangles(d).add, xs, ys, "sumset", cap), den)
 
 
 def scale_set(s, q) -> frozenset:

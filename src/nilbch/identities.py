@@ -31,6 +31,7 @@ yields element-free containment certificates for iterated bracket sets.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import lcm
 
@@ -222,18 +223,12 @@ def _synthesis_run(ctx: AlgebraContext, power: int, level: int, logs: dict) -> t
     return target, lam, corrections
 
 
-_LADDER: dict = {}
-
-
+@cache
 def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
     """(ctx, divisors, polys, logs): the construction run in full at
     T = 1..step, each correction exponent's polynomial in T, as its
     coefficients of T**1..T**step keyed by (degree, pattern), and the
     nested commutators the runs share."""
-    key = (num_generators, step, symbols)
-    got = _LADDER.get(key)
-    if got is not None:
-        return got
     ctx = AlgebraContext(num_generators, step, symbols)
     values: dict = {}
     logs: dict = {}
@@ -247,8 +242,7 @@ def _ladder(num_generators: int, step: int, symbols: tuple[str, ...]) -> tuple:
     dens = [1] * step
     for (degree, _), coeffs in polys.items():
         dens[degree - 1] = lcm(dens[degree - 1], *[a.denominator for a in coeffs])
-    got = _LADDER[key] = (ctx, tuple(accumulate(dens, lcm)), polys, logs)
-    return got
+    return ctx, tuple(accumulate(dens, lcm)), polys, logs
 
 
 def _commutator_word(a: FormalWord, b: FormalWord) -> FormalWord:
@@ -372,22 +366,14 @@ class SumWordResult(Record):
     __slots__ = ("step", "m", "word", "length", "synthesis")
 
 
-_SUM_WORD_CACHE: dict = {}
-
-
+@cache
 def sum_word(step: int) -> SumWordResult:
-    got = _SUM_WORD_CACHE.get(step)
-    if got is not None:
-        return got
     divisors = synthesis_divisors(2, step, symbols=("a", "b"))
     m = divisors[-1]
     res = power_word_synthesis(m, 2, step, symbols=("a", "b"))
     if res.certificate.min_residual_degree != EXACT:
         raise InternalInvariantError("sum word must be exact at its own step")
-    got = _SUM_WORD_CACHE[step] = SumWordResult(
-        step, m, res.word, word_length(res.word), res
-    )
-    return got
+    return SumWordResult(step, m, res.word, word_length(res.word), res)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +386,14 @@ class VandermondeRecipe(Record):
     __slots__ = ("n", "m", "inverse_matrix", "sample_points")
 
 
-_VANDERMONDE: dict = {}
-
-
+@cache
 def _vandermonde_inverse(n: int) -> tuple:
     """(den, rows) inverting the matrix [s**j], s and j in 1..n-1, once per n."""
-    if n not in _VANDERMONDE:
-        columns = ({s - 1: s**j for s in range(1, n)} for j in range(1, n))
-        _VANDERMONDE[n] = spanning_inverse(columns, n - 1)[1:]
-    return _VANDERMONDE[n]
+    columns = ({s - 1: s**j for s in range(1, n)} for j in range(1, n))
+    return spanning_inverse(columns, n - 1)[1:]
 
 
+@cache
 def vandermonde_recipe(n: int, m: int = 1) -> VandermondeRecipe:
     """Recipe for step n with scale m: sample points 1..n-1 and the inverse
     of the (n-1) x (n-1) matrix with entries s**j."""

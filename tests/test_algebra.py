@@ -159,6 +159,15 @@ def test_bracket_antisymmetry_and_self_annihilation():
         assert a.bracket(a).is_zero
 
 
+@pytest.mark.parametrize("letters,step", [(2, 6), (3, 4), (4, 3)])
+def test_structure_constants_are_antisymmetric(letters, step):
+    # each order of a pair is computed and cached on its own
+    basis = hall_basis(AlgebraContext(letters, step))
+    pairs = [(t1, t2) for t1 in basis for t2 in basis if tree_degree(t1) + tree_degree(t2) <= step]
+    for t1, t2 in pairs:
+        assert bracket_basis(t2, t1) == {t: -c for t, c in bracket_basis(t1, t2).items()}
+
+
 def test_jacobi_identity():
     rng = Random("algebra:jacobi")
     for ctx in (AlgebraContext(2, 4), AlgebraContext(3, 3)):

@@ -240,15 +240,26 @@ def test_verify_suite_catches_a_wrong_law_table(monkeypatch, wrong):
         table[-1] = (alpha, -num)
     else:
         table = [(alpha, num * 2 ** (len(alpha) - 1)) for alpha, num in table]
-    monkeypatch.setitem(bch_module._LAW, step, (den, tuple(table)))
-    # identities memoises results computed with bch; keep them out of later tests
-    for name, value in list(vars(identities).items()):
-        if name.startswith("_") and name.isupper() and isinstance(value, dict):
-            monkeypatch.setattr(identities, name, {})
-    if wrong == "rescale":
-        a, b, c = (random_element(AlgebraContext(2, step), Random(f"bch:wrong:{i}")) for i in range(3))
-        assert bch(bch(a, b), c) == bch(a, bch(b, c))
-    report = run_suite(step, 5, 0)
-    assert not report["all_pass"]
-    assoc = next(check for check in report["checks"] if check["name"] == "bch-associativity")
-    assert not assoc["pass"]
+    true_table = bch_module._law_table
+    wrong_table = (den, tuple(table))
+    monkeypatch.setattr(
+        bch_module, "_law_table", lambda s: wrong_table if s == step else true_table(s)
+    )
+
+    # identities caches results computed with bch: none computed with the true
+    # law may serve the suite, and none computed with the wrong one may leak
+    def clear_identities():
+        identities._ladder.cache_clear()
+        identities.sum_word.cache_clear()
+
+    clear_identities()
+    try:
+        if wrong == "rescale":
+            a, b, c = (random_element(AlgebraContext(2, step), Random(f"bch:wrong:{i}")) for i in range(3))
+            assert bch(bch(a, b), c) == bch(a, bch(b, c))
+        report = run_suite(step, 5, 0)
+        assert not report["all_pass"]
+        assoc = next(check for check in report["checks"] if check["name"] == "bch-associativity")
+        assert not assoc["pass"]
+    finally:
+        clear_identities()

@@ -681,7 +681,8 @@ def is_exact_entry(v) -> bool:
 def test_entries_are_ints_where_integral(name):
     a = ORACLE_SETS[name]()
     report = check_commutator_containment(a, 1, SMALL_CERT)
-    matrices = [*log_set(a), *(x for level in compute_B_chain(a, a.dim - 1) for x in level)]
+    la = log_set(a)
+    matrices = [*la, *sumset(la, la), *(x for level in compute_B_chain(a, a.dim - 1) for x in level)]
     matrices += [m for x, w in report.witnesses for m in (x, *w)]
     assert report.witnesses
     assert all(is_exact_entry(v) for x in matrices for v in x.tri)

@@ -1,11 +1,12 @@
 """Expansion tables, product-log clearing, word synthesis, extraction."""
 
+import importlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from nilbch import group
+from nilbch import algebra, group, identities
 from nilbch.algebra import AlgebraContext, LieElement, eval_bracket_pattern, patterns
 from nilbch.bch import bch, multi_bch
 from nilbch.errors import DivisibilityError, GradingError
@@ -390,3 +391,43 @@ def test_certificate_structure_is_scalable():
     assert all(k >= 1 for k in cert.exponents)
     assert all(q != 0 for q in cert.rationals)
     assert cert.m >= 1
+
+
+# ---------------------------------------------------------------------------
+# cached tables
+
+def test_callers_never_mutate_a_cached_value(monkeypatch):
+    """Every table that bch, extraction and synthesis fill and read at steps
+    2-6 still equals a fresh computation afterwards: a caller that edited a
+    shared value would fail here."""
+    bch_module = importlib.import_module("nilbch.bch")
+    keys = {}
+    for module, name in [
+        (algebra, "tree_assoc"),
+        (bch_module, "tree_assoc"),
+        (algebra, "bracket_basis"),
+        (algebra, "_rightnormed_solver"),
+        (bch_module, "_law_table"),
+    ]:
+        cached = getattr(module, name)
+        cached.cache_clear()  # so that the runs below fill every entry they read
+        seen = keys.setdefault(cached, set())
+
+        def record(*args, cached=cached, seen=seen):
+            seen.add(args)
+            return cached(*args)
+
+        monkeypatch.setattr(module, name, record)
+    rng = Random("identities:cached")
+    for step in range(2, 7):
+        ctx = AlgebraContext(2, step)
+        x, y = random_element(ctx, rng), random_element(ctx, rng)
+        assert bch(bch(x, y), -y) == x
+        assert extract_bracket(group.exp(x), group.exp(y)) == x.bracket(y)
+        identities._ladder.__wrapped__(2, step, ())
+        assert verify_synthesis(identities.sum_word.__wrapped__(step).synthesis)
+    monkeypatch.undo()
+    for cached, seen in keys.items():
+        assert seen, cached.__name__
+        for args in seen:
+            assert cached(*args) == cached.__wrapped__(*args), (cached.__name__, args)
