@@ -7,12 +7,12 @@ gives the law in every context: bch(x, y) is x + y plus each pattern
 evaluated at (x, y) times its coefficient. The table is built once per step,
 from the series route, and kept for the life of the process.
 
-The series route computes the composition in the truncated free associative
-algebra: embed both Lie elements, multiply their exponentials, take the
-logarithm, and read the Lyndon coordinates back with the triangular peel of
-algebra.extract_lie_coords, which raises on any series that is not the
-expansion of a Lie element. It builds the tables and serves as the oracle for
-the table route. All arithmetic is exact.
+The series route composes in the truncated free associative algebra, in ints
+over one denominator: embed both Lie elements, multiply their exponentials,
+take the logarithm, read the Lyndon coordinates back with the triangular peel
+of algebra.extract_lie_coords (which raises on any series that is not the
+expansion of a Lie element) and divide each once. It builds the tables and
+serves as the oracle for the table route. All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from .algebra import (
 from .errors import ContextMismatchError, GradingError
 
 
-def lie_to_assoc(x: LieElement) -> dict:
-    """Associative expansion of a Lie element."""
+def lie_to_assoc(terms: dict) -> dict:
+    """Associative expansion of Lie coordinates; ints stay ints."""
     out: dict = {}
-    for t, c in x.terms.items():
+    for t, c in terms.items():
         for w, k in tree_assoc(t).items():
             cur = out.get(w)
             cur = c * k if cur is None else cur + c * k
@@ -49,7 +49,8 @@ def lie_to_assoc(x: LieElement) -> dict:
 
 
 def _bch_series(x: LieElement, y: LieElement) -> LieElement:
-    """log of exp(x) exp(y) through the free associative algebra."""
+    """log of exp(x) exp(y) through the free associative algebra, in ints;
+    the peel is linear, so it reads the numerators over their denominator."""
     if x.ctx != y.ctx:
         raise ContextMismatchError(f"cannot compose elements of {x.ctx} and {y.ctx}")
     step = x.ctx.step
@@ -57,10 +58,12 @@ def _bch_series(x: LieElement, y: LieElement) -> LieElement:
         return y
     if y.is_zero:
         return x
-    ex = series.exp_truncated(lie_to_assoc(x), step)
-    ey = series.exp_truncated(lie_to_assoc(y), step)
-    z = series.log_truncated(series.mul_trunc(ex, ey, step), step)
-    return LieElement._raw(x.ctx, extract_lie_coords(z))
+    sx, xs = _integral(x.terms)
+    sy, ys = _integral(y.terms)
+    ex, lx = series.exp_truncated(lie_to_assoc(xs), sx, step)
+    ey, ly = series.exp_truncated(lie_to_assoc(ys), sy, step)
+    z, lz = series.log_truncated(series.mul_trunc(ex, ey, step), lx * ly, step)
+    return LieElement._raw(x.ctx, {t: Fraction(c, lz) for t, c in extract_lie_coords(z).items()})
 
 
 @cache

@@ -406,6 +406,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.cap < 0:
+            _fail(2, "usage", f"--cap must be at least 0, got {args.cap}")
         return args.fn(args)
     except _ExitCode as e:
         return e.code

@@ -40,6 +40,7 @@ from typing import Sequence
 from .algebra import LieElement, as_fraction
 from .errors import GradingError
 from .record import Record
+from .series import cleared
 
 Rows = tuple[tuple[int | Fraction, ...], ...]
 Tri = tuple[int | Fraction, ...]
@@ -167,9 +168,9 @@ def triangles(d: int) -> SimpleNamespace:
     namespace: dict = {}
     exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
     mul, prod, zero, ks = namespace["mul"], namespace["prod"], (0,) * n, range(1, d)
-    inverse = _divided(_horner(prod, [(-1) ** k for k in ks]))
-    exp_num = _horner(prod, [Fraction(1, factorial(k)) for k in ks])
-    log_num = _horner(prod, [Fraction((-1) ** (k + 1), k) for k in ks])
+    inverse = _divided(_horner(prod, [((-1) ** k, 1) for k in ks]))
+    exp_num = _horner(prod, [(1, factorial(k)) for k in ks])
+    log_num = _horner(prod, [((-1) ** (k + 1), k) for k in ks])
 
     def power(t: Tri, k: int) -> Tri:
         out = None
@@ -231,14 +232,13 @@ def _scale(tri: Tri, c) -> Tri:
 
 
 def _horner(prod, coeffs):
-    """The sum of c_k N^k over 0 < k < d, for the d - 1 coefficients c_k,
-    the whole series since N^d = 0, in ints. With N = M / D (M ints) and
-    c_k = a_k / L, the sum is S / (L D^(d-1)) where, by Horner's rule,
+    """The sum of c_k N^k over 0 < k < d, for the d - 1 coefficients c_k as
+    int pairs (p, q), the whole series since N^d = 0, in ints. With N = M / D
+    (M ints) and c_k = a_k / L, cleared as in series, the sum is
+    S / (L D^(d-1)) where, by Horner's rule,
     S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))). series(M, D)
     returns (S, L D^(d-1)); `_divided` reads and writes triangles."""
-    cs = [Fraction(c) for c in coeffs]
-    lcd = lcm(*[c.denominator for c in cs])
-    a = [c.numerator * (lcd // c.denominator) for c in reversed(cs)]
+    a, lcd = cleared(coeffs[::-1])
 
     def series(m: Sequence[int], den: int) -> tuple[Tri, int]:
         acc, scale = [], 1

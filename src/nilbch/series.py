@@ -2,20 +2,25 @@
 
 A series is a dict mapping words (tuples of 0-based letter indices) to nonzero
 coefficients; the empty tuple keys the constant term. Every operation
-truncates at a fixed total degree. Coefficients are exact rationals: Fractions,
-or ints where a series holds integer values.
+truncates at a fixed total degree. Coefficients are ints: exp and log take
+and return numerators over one denominator, so no Fraction is built here.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial, lcm
 
 # one kernel only; kept because perfbench records it in each result
 BACKEND = "pure"
 
 EMPTY_WORD: tuple[int, ...] = ()
 
-_ONE = Fraction(1)
+
+def cleared(ratios) -> tuple[list[int], int]:
+    """(A, L): the rationals p/q, given as int pairs (p, q), as ints A over
+    their least common denominator L."""
+    lden = lcm(*[q for _, q in ratios])
+    return [p * (lden // q) for p, q in ratios], lden
 
 
 def mul_trunc(p: dict, q: dict, step: int) -> dict:
@@ -33,51 +38,40 @@ def mul_trunc(p: dict, q: dict, step: int) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def one() -> dict:
-    return {EMPTY_WORD: _ONE}
-
-
-def add(p: dict, q: dict) -> dict:
+def sub(p: dict, q: dict) -> dict:
     out = dict(p)
     for w, c in q.items():
-        s = out.get(w)
-        if s is None:
-            out[w] = c
+        s = out.get(w, 0) - c
+        if s:
+            out[w] = s
         else:
-            s = s + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
+            del out[w]
     return out
 
 
-def sub(p: dict, q: dict) -> dict:
-    return add(p, {w: -c for w, c in q.items()})
+def _horner(n: dict, den: int, coeffs, step: int) -> tuple[dict, int]:
+    """(S, L): the sum of c_k (n / D)^k over 1 <= k <= step as S / L, for n
+    with zero constant term, D = den and c_k given as int pairs (p, q). With
+    c_k = a_k / A cleared once, L = A D^step and, by Horner's rule,
+    S = n (a_1 D^(step-1) + n (a_2 D^(step-2) + ... + n a_step))."""
+    a, lcd = cleared(coeffs)
+    acc: dict = {}
+    for j, ak in enumerate(reversed(a)):
+        acc = mul_trunc(n, {**acc, EMPTY_WORD: ak * den**j}, step)
+    return acc, lcd * den**step
 
 
-def scale(p: dict, c) -> dict:
-    if not c:
-        return {}
-    return {w: x * c for w, x in p.items()}
-
-
-def exp_truncated(p: dict, step: int) -> dict:
-    """exp of a series with zero constant term, by a Horner ladder."""
-    if EMPTY_WORD in p:
+def exp_truncated(m: dict, den: int, step: int) -> tuple[dict, int]:
+    """(E, L): exp(m / den) as E / L, for m with zero constant term."""
+    if EMPTY_WORD in m:
         raise ValueError("exp requires a series with zero constant term")
-    e = one()
-    for k in range(step, 0, -1):
-        e = add(one(), scale(mul_trunc(p, e, step), Fraction(1, k)))
-    return e
+    s, lden = _horner(m, den, [(1, factorial(k)) for k in range(1, step + 1)], step)
+    return {EMPTY_WORD: lden, **s}, lden
 
 
-def log_truncated(u: dict, step: int) -> dict:
-    """log of a series with constant term 1, by a Horner ladder."""
-    if u.get(EMPTY_WORD) != 1:
-        raise ValueError("log requires a series with constant term 1")
+def log_truncated(u: dict, den: int, step: int) -> tuple[dict, int]:
+    """(Z, L): log(u / den) as Z / L, for u with constant term den."""
+    if u.get(EMPTY_WORD) != den:
+        raise ValueError(f"log requires a series with constant term 1, numerator {den}")
     a = {w: c for w, c in u.items() if w}
-    s: dict = {EMPTY_WORD: Fraction(1, step)}
-    for k in range(step - 1, 0, -1):
-        s = add({EMPTY_WORD: Fraction(1, k)}, scale(mul_trunc(a, s, step), -1))
-    return mul_trunc(a, s, step)
+    return _horner(a, den, [((-1) ** (k + 1), k) for k in range(1, step + 1)], step)

@@ -367,6 +367,24 @@ def test_growth_refuses_a_sample_size_below_one_at_once(size):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hall", "--gens", "2", "--step", "3"],
+        ["bch", "--step", "3"],
+        ["growth", "--dim", "3", "--radius", "1"],
+    ],
+)
+def test_negative_cap_is_a_usage_error_at_once(argv):
+    code, out, err = run_cli([*argv, "--cap", "-1"])
+    assert (code, out) == (2, "")
+    assert err == '{"error":"usage","message":"--cap must be at least 0, got -1"}\n'
+    # a cap of 0 is a cap: the command starts and refuses past it
+    code, out, err = run_cli([*argv, "--cap", "0"])
+    assert (code, out) == (3, "")
+    assert json.loads(err)["cap"] == 0
+
+
 def test_growth_size_cap_exit():
     code, _, err = run_cli(
         ["growth", "--group", "ut", "--dim", "3", "--radius", "2", "--cap", "40"]
