@@ -129,6 +129,18 @@ def tree_str(t, symbols: Sequence[str]) -> str:
     return f"[{tree_str(t[0], symbols)},{tree_str(t[1], symbols)}]"
 
 
+def tree_fold(t, args: Sequence, op, memo: dict):
+    """The homomorphic image of a bracket tree: leaf i is args[i] and a node
+    (left, right) is op(left's value, right's value). The value of every node
+    is kept in memo, so trees folded through one memo share their subtrees."""
+    if isinstance(t, int):
+        return args[t]
+    got = memo.get(t)
+    if got is None:
+        got = memo[t] = op(tree_fold(t[0], args, op, memo), tree_fold(t[1], args, op, memo))
+    return got
+
+
 def is_lyndon(w: tuple[int, ...]) -> bool:
     """A word is Lyndon when it is strictly smaller than all proper suffixes."""
     if not w:
@@ -477,17 +489,12 @@ def patterns(num_generators: int, arity: int) -> Iterator[BracketPattern]:
 
 
 def rightnormed_fold(pattern: BracketPattern, args: Sequence, op, memo: dict):
-    """op(a_1, op(a_2, ... op(a_(j-1), a_j))) with a_i = args[pattern[i] - 1].
-    The value of every suffix of two or more indices is kept in memo, so
-    patterns folded through one memo share their common suffixes."""
-    val = args[pattern[-1] - 1]
-    for k in range(len(pattern) - 2, -1, -1):
-        suffix = pattern[k:]
-        got = memo.get(suffix)
-        if got is None:
-            got = memo[suffix] = op(args[pattern[k] - 1], val)
-        val = got
-    return val
+    """op(a_1, op(a_2, ... op(a_(j-1), a_j))) with a_i = args[pattern[i] - 1]:
+    the tree_fold of the pattern's right comb, whose subtrees are its suffixes."""
+    t = pattern[-1] - 1
+    for i in reversed(pattern[:-1]):
+        t = (i - 1, t)
+    return tree_fold(t, args, op, memo)
 
 
 def check_pattern(pattern: BracketPattern, num_args: int) -> None:

@@ -2,10 +2,11 @@
 
 The free Lie algebra on two letters maps onto every truncated Lie algebra by
 sending its letters to any two elements x, y. So one table per step, the
-coordinates of bch(x1, x2) - x1 - x2 over right-normed two-letter patterns,
-gives the law in every context: bch(x, y) is x + y plus each pattern
-evaluated at (x, y) times its coefficient. The table is built once per step,
-from the series route, and kept for the life of the process.
+Lyndon coordinates of bch(x1, x2) - x1 - x2, gives the law in every context:
+bch(x, y) is x + y plus each basis tree folded at (x, y) times its
+coefficient. The table is built once per step, from the series route, and
+kept for the life of the process; only the tail table rewrites it over
+right-normed patterns.
 
 The series route composes in the truncated free associative algebra, in ints
 over one denominator: embed both Lie elements, multiply their exponentials,
@@ -28,8 +29,10 @@ from .algebra import (
     bracket_coords,
     extract_lie_coords,
     rightnormed_decomposition,
-    rightnormed_fold,
     tree_assoc,
+    tree_degree,
+    tree_fold,
+    tree_foliage,
 )
 from .errors import ContextMismatchError, GradingError
 
@@ -68,19 +71,14 @@ def _bch_series(x: LieElement, y: LieElement) -> LieElement:
 
 @cache
 def _law_table(step: int) -> tuple:
-    """(den, entries): the coefficients of bch(x1, x2) - x1 - x2 on two
+    """(den, entries): the Lyndon coordinates of bch(x1, x2) - x1 - x2 on two
     letters as integer numerators over one common denominator, entries
-    (pattern, numerator) ordered by degree and then pattern. Built by the
+    (tree, number of x1 leaves, numerator) in basis order. Built by the
     series route, as bch itself reads this table."""
     x, y = AlgebraContext(2, step).generators()
-    defect = _bch_series(x, y) - x - y
-    table = [
-        entry
-        for j in range(2, step + 1)
-        for entry in sorted(rightnormed_decomposition(defect, j).items())
-    ]
-    den = lcm(*[c.denominator for _, c in table])
-    return den, tuple((alpha, int(c * den)) for alpha, c in table)
+    defect = (_bch_series(x, y) - x - y).sorted_terms()
+    den = lcm(*[c.denominator for _, c in defect])
+    return den, tuple((t, tree_foliage(t).count(0), int(c * den)) for t, c in defect)
 
 
 def _integral(terms: dict) -> tuple:
@@ -98,7 +96,7 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
 
     The sum, x and y included, is kept in ints, as multiples of 1/scale with
     scale = den * sx**step * sy**step: for x = X/sx and y = Y/sy with
-    integral X and Y, a pattern naming x i times and y j times is its value
+    integral X and Y, a tree with i leaves x and j leaves y is its value
     at (X, Y) over sx**i * sy**j, and i, j <= step. One Fraction per
     coordinate is built at the end."""
     if x.ctx != y.ctx:
@@ -114,13 +112,12 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     # px[i] * py[j] lifts a value over den * sx**i * sy**j to the scale
     px = [sx ** (step - i) for i in range(step + 1)]
     py = [sy ** (step - j) for j in range(step + 1)]
-    # right-normed brackets of shared suffixes, evaluated once per call
+    # the brackets of shared subtrees, evaluated once per call
     op, memo = (lambda a, b: bracket_coords(a, b, step)), {}
     out: dict = {}
-    for alpha, num in (((1,), den), ((2,), den), *table):
-        val = rightnormed_fold(alpha, (xs, ys), op, memo)
-        i = alpha.count(1)
-        c = num * px[i] * py[len(alpha) - i]
+    for tree, i, num in ((0, 1, den), (1, 0, den), *table):
+        val = tree_fold(tree, (xs, ys), op, memo)
+        c = num * px[i] * py[tree_degree(tree) - i]
         for t, v in val.items():
             cur = out.get(t)
             out[t] = v * c if cur is None else cur + v * c
@@ -154,13 +151,18 @@ def conjugation_log(a: LieElement, b: LieElement) -> LieElement:
 
 
 def bch_tail_table(ctx: AlgebraContext) -> dict:
-    """Tail table over two generators, {pattern: coefficient} in law-table
-    order (by degree, then pattern); requires a two-generator context.
+    """Tail table over two generators, {pattern: coefficient} ordered by
+    degree, then pattern; requires a two-generator context.
 
-    The entries decompose x + y - bch(x, y), the negative of the expansion
-    defect, so adding the table back onto the composition recovers the sum.
+    The entries decompose x + y - bch(x, y) over right-normed patterns, so
+    adding the table back onto the composition recovers the sum.
     """
     if ctx.num_generators != 2:
         raise GradingError("the tail table is defined over exactly two generators")
     den, table = _law_table(ctx.step)
-    return {alpha: Fraction(-num, den) for alpha, num in table}
+    tail = LieElement._raw(ctx, {t: Fraction(-num, den) for t, _, num in table})
+    return {
+        alpha: c
+        for j in range(2, ctx.step + 1)
+        for alpha, c in sorted(rightnormed_decomposition(tail, j).items())
+    }

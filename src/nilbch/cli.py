@@ -71,8 +71,8 @@ def _emit(args, payload, lines):
 # subcommands
 
 def _check_law_cap(num_generators: int, step: int, cap: int) -> None:
-    """Refuse when the Hall dimension of (num_generators, step) or the law
-    table's 2^(step+1) - 4 patterns is past the cap; checked before any work.
+    """Refuse when the Hall dimension of (num_generators, step) or the degree
+    table's 2^(step+1) - 4 right-normed patterns passes the cap, before work.
     For at most two generators from step 2 on, the Hall dimension is at most
     2^step (each Lyndon word of length k has k distinct rotations, so there
     are at most 2^k/k), and Witt's sum, with n^k for each k <= step, is skipped."""

@@ -37,7 +37,7 @@ from operator import add
 from types import SimpleNamespace
 from typing import Sequence
 
-from .algebra import LieElement, as_fraction
+from .algebra import LieElement, as_fraction, tree_fold
 from .errors import GradingError
 from .record import Record
 from .series import cleared
@@ -344,19 +344,9 @@ def substitute(
             f"dimension {d} keeps brackets beyond step {ctx.step}; truncation would not be exact"
         )
 
-    cache: dict = {}
-
-    def eval_tree(t) -> NilpotentMatrix:
-        if isinstance(t, int):
-            return mats[t]
-        got = cache.get(t)
-        if got is None:
-            got = cache[t] = nil_bracket(eval_tree(t[0]), eval_tree(t[1]))
-        return got
-
-    acc = nil_zero(d)
+    acc, memo = nil_zero(d), {}
     for t, c in x.terms.items():
-        acc = nil_add(acc, nil_scale(eval_tree(t), c))
+        acc = nil_add(acc, nil_scale(tree_fold(t, mats, nil_bracket, memo), c))
     return acc
 
 

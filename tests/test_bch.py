@@ -8,7 +8,7 @@ from random import Random
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from nilbch import identities
+from nilbch import algebra, identities
 from nilbch.algebra import (
     AlgebraContext,
     LieElement,
@@ -162,8 +162,10 @@ def _element(draw, ctx, coefficients):
     return LieElement(ctx, terms)
 
 
-@pytest.mark.parametrize("step", range(1, 7))
-@pytest.mark.parametrize("letters", [1, 2, 3])
+# four generators at steps 4 and 5, where the synthesis composes
+@pytest.mark.parametrize(
+    "letters,step", [(n, s) for n in (1, 2, 3) for s in range(1, 7)] + [(4, 4), (4, 5)]
+)
 @_SETTINGS
 @given(data=st.data())
 def test_table_route_matches_series_route(letters, step, data):
@@ -236,10 +238,10 @@ def test_verify_suite_catches_a_wrong_law_table(monkeypatch, wrong):
     den, entries = bch_module._law_table(step)
     table = list(entries)
     if wrong == "flip":
-        alpha, num = table[-1]
-        table[-1] = (alpha, -num)
+        t, i, num = table[-1]
+        table[-1] = (t, i, -num)
     else:
-        table = [(alpha, num * 2 ** (len(alpha) - 1)) for alpha, num in table]
+        table = [(t, i, num * 2 ** (tree_degree(t) - 1)) for t, i, num in table]
     true_table = bch_module._law_table
     wrong_table = (den, tuple(table))
     monkeypatch.setattr(
@@ -263,3 +265,38 @@ def test_verify_suite_catches_a_wrong_law_table(monkeypatch, wrong):
         assert not assoc["pass"]
     finally:
         clear_identities()
+
+
+def _sparse_element(ctx, rng):
+    """Every generator with a small rational coefficient, plus up to three
+    terms of higher degree."""
+    higher = [t for t in hall_basis(ctx) if tree_degree(t) > 1]
+    terms = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in range(ctx.num_generators)}
+    for t in rng.sample(higher, min(3, len(higher))):
+        terms[t] = rng.randint(-3, 3)
+    return LieElement(ctx, terms)
+
+
+# three generators stop at step 6: one series-route composition there takes
+# about 0.5 s, at step 7 about 4 s and at step 8 about 40 s
+@pytest.mark.parametrize(
+    "letters,step", [(n, s) for n in (1, 2) for s in range(1, 9)] + [(3, s) for s in range(1, 7)]
+)
+def test_bch_never_reaches_the_right_normed_solver(monkeypatch, letters, step):
+    """The law table is read in the Lyndon basis: with the right-normed
+    solver gone, a table built afresh still gives the series route's law."""
+    bch_module = importlib.import_module("nilbch.bch")
+
+    def no_solver(*args):
+        raise AssertionError("bch reached the right-normed solver")
+
+    monkeypatch.setattr(algebra, "_rightnormed_solver", no_solver)
+    bch_module._law_table.cache_clear()
+    try:
+        ctx = AlgebraContext(letters, step)
+        rng = Random(f"bch:no-solver:{letters}:{step}")
+        for _ in range(3):
+            x, y = _sparse_element(ctx, rng), _sparse_element(ctx, rng)
+            assert bch(x, y) == _bch_series(x, y)
+    finally:
+        bch_module._law_table.cache_clear()

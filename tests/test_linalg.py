@@ -15,6 +15,7 @@ from nilbch.algebra import (
     patterns,
     rightnormed_fold,
     tree_degree,
+    tree_fold,
 )
 from nilbch.errors import InternalInvariantError
 from nilbch.identities import _commutator_word, _pattern_word, vandermonde_recipe
@@ -181,6 +182,15 @@ def test_a_shared_memo_folds_lie_brackets_as_the_plain_fold(num_generators, arit
     for alpha in patterns(num_generators, arity):
         got = rightnormed_fold(alpha, gens, LieElement.bracket, memo)
         assert got == plain_fold(alpha, gens, LieElement.bracket)
+
+
+@pytest.mark.parametrize("num_generators,step", FOLD_SIZES)
+def test_a_basis_tree_folds_on_unit_generators_to_itself(num_generators, step):
+    units = [{i: 1} for i in range(num_generators)]
+    op, shared = (lambda u, v: bracket_coords(u, v, step)), {}
+    for t in hall_basis(AlgebraContext(num_generators, step)):
+        assert tree_fold(t, units, op, shared) == {t: 1}
+        assert tree_fold(t, units, op, {}) == {t: 1}
 
 
 def test_a_shared_memo_folds_commutators_and_words_as_the_plain_fold():
