@@ -34,8 +34,6 @@ from .errors import ContextMismatchError, GradingError, InternalInvariantError
 from .linalg import apply_inverse, spanning_inverse
 from .record import Record
 
-# leaf: generator index; node: (left, right)
-HallTree = "int | tuple"
 # 1-based generator indices, read left to right
 BracketPattern = tuple[int, ...]
 
@@ -75,23 +73,7 @@ class AlgebraContext(Record):
                 raise ValueError(f"invalid symbol {s!r}")
         if len(set(symbols)) != num_generators:
             raise ValueError("symbols must be distinct")
-        object.__setattr__(self, "num_generators", num_generators)
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "symbols", symbols)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.num_generators == other.num_generators
-            and self.step == other.step
-            and self.symbols == other.symbols
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num_generators, self.step, self.symbols))
+        super().__init__(num_generators, step, symbols)
 
     def generator(self, i: int) -> "LieElement":
         """The i-th generator (0-based) as a Lie element."""

@@ -197,6 +197,9 @@ def _cmd_verify(args) -> int:
 
     check_suite_args(args.step, args.trials)
     _check_law_cap(2, args.step, args.cap)
+    # each check builds all its trial inputs before its first case runs
+    if args.trials > args.cap:
+        raise SizeCapError("trial inputs", args.trials, args.cap)
     report = run_suite(args.step, args.trials, args.seed)
     lines = [
         f"{c['name']}: {'pass' if c['pass'] else 'FAIL'} ({c['count']} checks)"
@@ -227,7 +230,7 @@ def _cmd_growth(args) -> int:
         find_cover,
         generate_ball,
         log_set,
-        powers_up_to,
+        power_set,
         sumset,
         ut_generators,
     )
@@ -251,7 +254,7 @@ def _cmd_growth(args) -> int:
     cover = find_cover(ball, cap=args.cap)
     la = log_set(ball)
     ss = sumset(la, la, cap=args.cap)
-    pw = powers_up_to(ball, max(powers), cap=args.cap)
+    pw = {k: power_set(ball, k, cap=args.cap) for k in powers}
     sc = check_sum_containment(
         ball,
         k1,
@@ -282,19 +285,8 @@ def _cmd_growth(args) -> int:
             "sumset_size": len(ss),
             "ratio": rational_str(Fraction(len(ss), len(la))),
         },
-        "powers": [{"k": k, "size": len(pw[k - 1])} for k in powers],
-        "sum_containment": {
-            "step": sc.step,
-            "k1": sc.k1,
-            "k2": sc.k2,
-            "m": sc.m,
-            "word_length": sc.word_length,
-            "bound_power": sc.bound_power,
-            "checked_pairs": sc.checked_pairs,
-            "failures": sc.failures,
-            "max_witness_power": sc.max_witness_power,
-            "pass": sc.failures == 0,
-        },
+        "powers": [{"k": k, "size": len(pw[k])} for k in powers],
+        "sum_containment": {**sc._asdict(), "pass": sc.failures == 0},
         "b_chain": {"sizes": [len(b) for b in chain], "top_trivial": top_trivial},
     }
     ok = sc.failures == 0 and top_trivial
@@ -309,13 +301,8 @@ def _cmd_growth(args) -> int:
             seed=args.seed,
             cap=args.cap,
         )
-        payload["bracket_containment"] = {
-            "j": bc.j,
-            "set_size": bc.set_size,
-            "checked": bc.checked,
-            "failures": bc.failures,
-            "pass": bc.failures == 0,
-        }
+        fields = {k: v for k, v in bc._asdict().items() if k != "witnesses"}
+        payload["bracket_containment"] = {**fields, "pass": bc.failures == 0}
         ok = ok and bc.failures == 0
     elapsed = time.perf_counter() - t0
     sys.stderr.write(f"timing: total={elapsed:.3f}s\n")

@@ -210,14 +210,20 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
     return kept[k - 1]
 
 
+def _kept_power(a: FiniteGroupSet, k: int) -> FiniteGroupSet:
+    """A^k, already kept on `a`, as a set of its own."""
+    power = a._kept["powers"][k - 1]
+    return FiniteGroupSet(a.dim, a.elements if k == 1 else _wrap(UnipotentMatrix, a.dim, power))
+
+
 def power_set(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroupSet:
     """The power set A^k, computed incrementally and kept on `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    power = _power(a, k, cap)
-    return FiniteGroupSet(a.dim, a.elements if k == 1 else _wrap(UnipotentMatrix, a.dim, power))
+    _power(a, k, cap)
+    return _kept_power(a, k)
 
 
 def powers_up_to(
@@ -226,7 +232,8 @@ def powers_up_to(
     """The power sets A^1..A^k, computed incrementally and kept on `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    return [power_set(a, p, cap=cap) for p in range(1, k + 1)]
+    _power(a, k, cap)
+    return [_kept_power(a, p) for p in range(1, k + 1)]
 
 
 def inverse_set(a: FiniteGroupSet) -> FiniteGroupSet:

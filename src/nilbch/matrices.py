@@ -64,9 +64,7 @@ class _Triangular(Record):
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        tri = tuple(x for i, row in enumerate(rows) for x in row[i + 1 :])
-        object.__setattr__(self, "dim", d)
-        object.__setattr__(self, "tri", tri)
+        super().__init__(d, tuple(x for i, row in enumerate(rows) for x in row[i + 1 :]))
         if self.rows != rows:  # the triangle alone must give back every entry
             raise ValueError(f"diagonal must be {self._DIAGONAL} and entries below it 0")
 
@@ -77,6 +75,8 @@ class _Triangular(Record):
         _set_tri(m, tri)
         return m
 
+    # Record's generic equality and hash read the fields through getattr,
+    # several times slower; the growth lab hashes every matrix it returns
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

@@ -3,7 +3,8 @@
 A subclass lists its fields in `__slots__` (a leading underscore marks a slot
 that is not a field) and any defaults in `_DEFAULTS`. Instances compare equal
 when their types and field values are equal, hash as the tuple of their
-field values, refuse assignment, and print as Name(field=value, ...).
+field values, refuse assignment, print as Name(field=value, ...) and give
+{field: value} in declaration order by `_asdict`.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)
 
+    def _asdict(self) -> dict:
+        return {name: getattr(self, name) for name in self._FIELDS}
+
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

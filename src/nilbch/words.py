@@ -30,39 +30,20 @@ class SymbolFactor(Record):
     __slots__ = ("name", "exponent")
     _DEFAULTS = {"exponent": 1}
 
-    def _atom_key(self):
-        return ("sym", self.name)
-
 
 class GroupFactor(Record):
     __slots__ = ("inner", "exponent")
     _DEFAULTS = {"exponent": 1}
-
-    def _atom_key(self):
-        return ("grp", self.inner)
 
 
 class CommutatorFactor(Record):
     __slots__ = ("left", "right", "exponent")
     _DEFAULTS = {"exponent": 1}
 
-    def _atom_key(self):
-        return ("com", self.left, self.right)
-
 
 class FormalWord(Record):
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[Factor, ...] = ()):
-        object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+    _DEFAULTS = {"factors": ()}
 
     def __iter__(self):
         return iter(self.factors)
@@ -74,12 +55,13 @@ class FormalWord(Record):
         return serialize(self)
 
 
+def _atom(f: Factor) -> tuple:
+    """A factor's type and fields but the last, which is every factor's exponent."""
+    return (f.__class__, *f._values()[:-1])
+
+
 def _with_exponent(factor: Factor, exponent: int) -> Factor:
-    if isinstance(factor, SymbolFactor):
-        return SymbolFactor(factor.name, exponent)
-    if isinstance(factor, GroupFactor):
-        return GroupFactor(factor.inner, exponent)
-    return CommutatorFactor(factor.left, factor.right, exponent)
+    return type(factor)(*factor._values()[:-1], exponent)
 
 
 def make_word(factors: Iterable[Factor]) -> FormalWord:
@@ -89,15 +71,13 @@ def make_word(factors: Iterable[Factor]) -> FormalWord:
     for f in factors:
         if f.exponent == 0:
             continue
-        while stack and stack[-1]._atom_key() == f._atom_key():
-            prev = stack.pop()
-            e = prev.exponent + f.exponent
+        # no two equal atoms sit side by side on the stack: f merges at most once
+        if stack and _atom(stack[-1]) == _atom(f):
+            e = stack.pop().exponent + f.exponent
             if e == 0:
-                f = None
-                break
+                continue
             f = _with_exponent(f, e)
-        if f is not None:
-            stack.append(f)
+        stack.append(f)
     return FormalWord(tuple(stack))
 
 
@@ -312,10 +292,7 @@ def random_word(rng, symbols: tuple[str, ...], max_factors: int = 5, depth: int 
             )
         else:
             atom = SymbolFactor(rng.choice(symbols))
-        e = rng.randint(-4, 4)
-        if e == 0:
-            e = 1
-        factors.append(_with_exponent(atom, e))
+        factors.append(_with_exponent(atom, rng.randint(-4, 4) or 1))
     word = make_word(factors)
     if not word.factors:
         return FormalWord((SymbolFactor(rng.choice(symbols)),))

@@ -187,6 +187,29 @@ def test_verify_identities_refuses_a_step_past_the_cap_at_once(step):
     assert err == f'{{"error":"validation","message":"step {step} exceeds the cap 6"}}\n'
 
 
+def test_verify_identities_refuses_trials_past_the_cap_at_once():
+    # every check builds all its trial inputs first, so --trials meets --cap
+    # before any is built
+    start = time.perf_counter()
+    code, out, err = run_cli(["verify-identities", "--step", "2", "--trials", "11", "--cap", "10"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building trial inputs: '
+        '11 > cap 10","what":"trial inputs","size":11,"cap":10}\n'
+    )
+    code, out, _ = run_cli(["verify-identities", "--step", "2", "--trials", "10", "--cap", "10"])
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
+def test_growth_reads_only_the_requested_powers():
+    # A^k of the one-element ball is the identity for every k; the largest
+    # power costs one walk, not one per power below it
+    code, out, _ = run_cli(["growth", "--dim", "3", "--radius", "0", "--powers", "1,20000"])
+    assert code == 0
+    assert json.loads(out)["powers"] == [{"k": 1, "size": 1}, {"k": 20000, "size": 1}]
+
+
 def test_synthesis_commands_refuse_past_the_synthesis_caps_at_once():
     start = time.perf_counter()
     for step in (7, 20, 100000):

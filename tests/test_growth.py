@@ -247,6 +247,21 @@ def test_kept_power_still_meets_the_cap():
     assert (err.value.size, err.value.cap) == (53, 20)
 
 
+def test_powers_up_to_meets_the_cap_once_per_power(monkeypatch):
+    # one walk up to A^k, not one per power: the cap is checked O(k) times
+    checks = []
+    check = growth._check_cap
+
+    def counted(what, size, cap):
+        checks.append(size)
+        check(what, size, cap)
+
+    monkeypatch.setattr(growth, "_check_cap", counted)
+    powers = powers_up_to(FiniteGroupSet(3, frozenset({mat_identity(3)})), 2000)
+    assert [len(p) for p in powers] == [1] * 2000
+    assert len(checks) <= 2 * 2000
+
+
 def test_kept_chain_level_still_meets_the_cap():
     a = heisenberg_ball(1)
     size = len(compute_B_chain(a, 2)[1])

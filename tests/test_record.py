@@ -28,6 +28,7 @@ def test_value_types_compare_hash_and_print_by_field(name):
     values = tuple(getattr(a, f) for f in fields)
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash(values)
+    assert list(a._asdict().items()) == list(zip(fields, values))
     assert repr(a) == f"{type(a).__name__}(" + ", ".join(
         f"{f}={v!r}" for f, v in zip(fields, values)
     ) + ")"

@@ -115,6 +115,31 @@ def test_make_word_cascading_cancellation():
     assert serialize(make_word(factors)) == "a^4"
 
 
+U, V = FormalWord((SymbolFactor("u"),)), FormalWord((SymbolFactor("v"),))
+
+
+@pytest.mark.parametrize(
+    "factors, merged",
+    [
+        ((SymbolFactor("a"), SymbolFactor("a", 2)), (SymbolFactor("a", 3),)),
+        ((GroupFactor(U, -1), GroupFactor(U, 3)), (GroupFactor(U, 2),)),
+        ((CommutatorFactor(U, V), CommutatorFactor(U, V)), (CommutatorFactor(U, V, 2),)),
+        ((CommutatorFactor(U, V), CommutatorFactor(U, V, -1)), ()),
+        (
+            (SymbolFactor("u"), CommutatorFactor(U, V), CommutatorFactor(U, V, -1), SymbolFactor("u")),
+            (SymbolFactor("u", 2),),
+        ),
+        ((CommutatorFactor(U, V), CommutatorFactor(V, U)), None),
+        ((SymbolFactor("u"), GroupFactor(U)), None),
+        ((GroupFactor(U), CommutatorFactor(U, U)), None),
+    ],
+)
+def test_make_word_merges_only_equal_atoms(factors, merged):
+    # an atom is a factor's type and its fields but the exponent; None marks
+    # factors that stay apart
+    assert make_word(factors).factors == (factors if merged is None else merged)
+
+
 def test_evaluate_word_on_matrices():
     rng = Random("words:eval")
     ops = matrix_group_ops(3)
