@@ -271,15 +271,7 @@ def bracket_basis(t1, t2) -> dict:
 def bracket_coords(a: Mapping, b: Mapping, step: int) -> dict:
     """Bilinear extension of bracket_basis, truncated at step. The terms of b
     are grouped by degree once, so pairs past the step are never visited."""
-    by_degree: dict = {}
-    for t2, c2 in b.items():
-        d2 = tree_degree(t2)
-        got = by_degree.get(d2)
-        if got is None:
-            by_degree[d2] = [(t2, c2)]
-        else:
-            got.append((t2, c2))
-    classes = sorted(by_degree.items())
+    classes = series.graded(b, tree_degree)
     out: dict = {}
     for t1, c1 in a.items():
         room = step - tree_degree(t1)

@@ -189,19 +189,20 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
     """A^k as triangles, enumerating only the powers that `a` has not kept
     yet. Every A^p with 1 < p <= k meets the cap, kept or not.
 
-    When the identity belongs to A the powers are nested, so each step only
-    multiplies the elements new in the previous power by A; otherwise A^p is
-    the literal product A^(p-1) A. Either way A^p is the literal power set.
+    A^2 is the literal product A A, with the cap checked after each row as
+    `product_set` checks it. Past it, when the identity belongs to A the
+    powers are nested, so each step only multiplies the elements new in the
+    previous power by A; otherwise A^p is the literal product A^(p-1) A.
+    Either way A^p is the literal power set.
     """
     kept, tri = a._kept["powers"], triangles(a.dim)
     base, mul = _tris(a.elements), tri.mul
     nested = tri.zero in kept[0]
     for p in range(2, k + 1):
         if p > len(kept):
-            if nested:
+            if nested and p > 2:
                 seen = dict.fromkeys(kept[-1])
-                new = kept[-1] - kept[-2] if p > 2 else kept[-1]
-                _grow(seen, new, base, mul, "product set", cap)
+                _grow(seen, kept[-1] - kept[-2], base, mul, "product set", cap)
                 kept.append(frozenset(seen))
             else:
                 xs = kept[-1] if p > 2 else base
@@ -275,21 +276,23 @@ def scale_set(s, q) -> frozenset:
 def find_cover(a: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP) -> CoverReport:
     """Greedy cover of AA by translates x*A with x drawn from AA*A^-1.
 
-    T_x = xA ∩ AA is the set of z in AA with z*y = x for a y in A^-1, so
-    one pass over AA x A^-1 builds it. Each round takes the first x in
-    canonical order with the most of T_x still uncovered, so ties break
-    deterministically and the translate list is reproducible. Counts only
-    fall, so a heap of (-count, index) recounts only its top, which wins
-    when its count is still current.
+    AA is A^2 as `a` keeps it, so a report builds it once, and A^-1 is A's
+    triangles inverted by `triangles(d).inverse`. T_x = xA ∩ AA is the set
+    of z in AA with z*y = x for a y in A^-1, so one pass over AA x A^-1
+    builds it. Each round takes the first x in canonical order with the most
+    of T_x still uncovered, so ties break deterministically and the
+    translate list is reproducible. Counts only fall, so a heap of
+    (-count, index) recounts only its top, which wins when its count is
+    still current.
     """
-    aa = product_set(a, a, cap=cap)
-    mul, inverses, found = triangles(a.dim).mul, _tris(inverse_set(a).elements), defaultdict(set)
-    for z in _tris(aa.elements):
+    aa, tri, found = _power(a, 2, cap), triangles(a.dim), defaultdict(set)
+    mul, inverses = tri.mul, [tri.inverse(t) for t in _tris(a.elements)]
+    for z in sorted(aa):  # canonical order: the cap trips at the same z every run
         for y in inverses:
             found[mul(z, y)].add(z)
         _check_cap("product set", len(found), cap)
     candidates = sorted(found)
-    hits, uncovered = [found[x] for x in candidates], set(_tris(aa.elements))
+    hits, uncovered = [found[x] for x in candidates], set(aa)
     heap = [(-len(hit), i) for i, hit in enumerate(hits)]
     heapq.heapify(heap)
     translates = []

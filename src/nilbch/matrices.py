@@ -14,11 +14,13 @@ its operands, makes one call there and wraps the result, and the growth lab
 and word evaluation (`matrix_group_ops`) call it directly. Three products
 over i < k < j carry the whole group law: x + y + xy (mul), base + xy (the
 series) and xy - yx (bracket), each generated as straight-line code, one
-tuple display built from the triangle's index pairs. One truncated series
-gives exp, log and the inverse; it clears the entries' common denominator
-and the coefficients' denominators, runs Horner's rule in ints and divides
-each entry once at the end; the growth lab keeps logs as int numerators over
-D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket level j over D^(j+1).
+tuple display built from the triangle's index pairs; the inverse is
+straight-line code too, y = -x - xy solved from the bottom row up, with no
+division. One truncated series gives exp and log; it clears the entries'
+common denominator and the coefficients' denominators, runs Horner's rule in
+ints and divides each entry once at the end; the growth lab keeps logs as
+int numerators over D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket
+level j over D^(j+1).
 
 Entries are ints where integral and Fractions otherwise: the constructor,
 exp, log, the inverse and nil_scale store every integral entry as an int,
@@ -75,8 +77,8 @@ class _Triangular(Record):
         _set_tri(m, tri)
         return m
 
-    # Record's generic equality and hash read the fields through getattr,
-    # several times slower; the growth lab hashes every matrix it returns
+    # Record's generic equality and hash go through a per-class getter and
+    # a method call, slower; the growth lab hashes every matrix it returns
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -134,11 +136,15 @@ def triangles(d: int) -> SimpleNamespace:
     zero, add(x, y) and scale(x, c) are the vector space. mul(x, y) =
     x + y + xy is the product of I + x and I + y, and bracket(x, y) =
     xy - yx; both are straight-line code, one tuple display each, compiled
-    from the indices of `_pairs(d)`. inverse(x) and log(x) read x as I + x,
-    exp(x) as a nilpotent x; all three are truncated series by Horner's
-    rule on a third display, base + xy (log_num and exp_num: undivided, on
-    int numerators). power(x, k) squares and multiplies; commutator(g, h)
-    is (gh)(hg)^-1, one inverse.
+    from the indices of `_pairs(d)`. inverse(x) is straight-line code as
+    well: (I + x)^-1 = I + y with y_ij = -(x_ij + sum x_ik y_kj), assigned
+    from the bottom row up, so int triangles stay ints with no division;
+    an input with a Fraction entry comes back canonical (integral entries as
+    ints). log(x) reads x as I + x and exp(x) x as nilpotent; both are
+    truncated series by Horner's rule on a third display, base + xy (log_num
+    and exp_num: undivided, on int numerators). power(x, k) squares and
+    multiplies, inverting first for k < 0; commutator(g, h) is (gh)(hg)^-1,
+    one inverse.
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
@@ -160,15 +166,23 @@ def triangles(d: int) -> SimpleNamespace:
     def display(entries):
         return f"    return ({''.join(f'{e}, ' for e in entries)})\n"
 
+    # (I + x)^-1 = I + y with y = -x - xy, row by row from the bottom: y_ij
+    # reads only y_kj, k > i, so each entry is assigned before it is read
+    solve = "".join(
+        f"    y{t} = -({' + '.join([f'x{t}', *products(pairs[t])])})\n" for t in reversed(range(n))
+    )
     source = (
         f"def mul(x, y):\n{unpack('x', 'y')}{display(mul)}"
         f"def prod(x, y, b):\n{unpack('x', 'y', 'b')}{display(prod)}"
         f"def bracket(x, y):\n{unpack('x', 'y')}{display(bracket)}"
+        f"def inverse(x):\n{unpack('x')}{solve}"
+        f"    y = ({''.join(f'y{t}, ' for t in range(n))})\n"
+        "    return y if _INT.issuperset(map(type, x)) else _canonical(y)\n"
     )
-    namespace: dict = {}
+    namespace: dict = {"_INT": frozenset({int}), "_canonical": _canonical}
     exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
-    mul, prod, zero, ks = namespace["mul"], namespace["prod"], (0,) * n, range(1, d)
-    inverse = _divided(_horner(prod, [((-1) ** k, 1) for k in ks]))
+    mul, prod, inverse = namespace["mul"], namespace["prod"], namespace["inverse"]
+    zero, ks = (0,) * n, range(1, d)
     exp_num = _horner(prod, [(1, factorial(k)) for k in ks])
     log_num = _horner(prod, [((-1) ** (k + 1), k) for k in ks])
 
@@ -216,6 +230,11 @@ def _quotients(nums, den: int) -> Tri:
     if den == 1:
         return tuple(nums)
     return tuple([v // den if not v % den else Fraction(v, den) for v in nums])
+
+
+def _canonical(tri) -> Tri:
+    """The entries as the matrices store them: integral values as ints."""
+    return tuple([v.numerator if v.denominator == 1 else v for v in tri])
 
 
 def _add(x: Tri, y: Tri) -> Tri:
@@ -279,7 +298,7 @@ def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
 
 
 def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
-    """Inverse by the finite Neumann series of the nilpotent part."""
+    """Inverse by back substitution: (I + a)^-1 = I + y, y = -a - ay."""
     d = _dim(UnipotentMatrix, a)
     return UnipotentMatrix._raw(d, triangles(d).inverse(a.tri))
 

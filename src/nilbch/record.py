@@ -9,6 +9,8 @@ field values, refuse assignment, print as Name(field=value, ...) and give
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class Record:
     __slots__ = ()
@@ -21,6 +23,12 @@ class Record:
             cls._FIELDS = cls._FIELDS + tuple(
                 name for name in cls.__slots__ if not name.startswith("_")
             )
+            # one getter per class; attrgetter of one name gives a bare value
+            get = attrgetter(*cls._FIELDS) if cls._FIELDS else lambda self: ()
+            if len(cls._FIELDS) == 1:
+                cls._values = lambda self: (get(self),)
+            else:
+                cls._values = lambda self: get(self)
 
     def __init__(self, *args, **kwargs):
         names = self._FIELDS
@@ -41,10 +49,11 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
+        """The field values in declaration order."""
+        return ()
 
     def _asdict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return dict(zip(self._FIELDS, self._values()))
 
     def __eq__(self, other):
         if self is other:

@@ -23,18 +23,36 @@ def cleared(ratios) -> tuple[list[int], int]:
     return [p * (lden // q) for p, q in ratios], lden
 
 
+def graded(terms: dict, degree=len) -> list:
+    """The items of terms grouped by the degree of their keys, as
+    (degree, [(key, value), ...]) pairs in increasing degree."""
+    groups: dict = {}
+    for key, value in terms.items():
+        n = degree(key)
+        got = groups.get(n)
+        if got is None:
+            groups[n] = [(key, value)]
+        else:
+            got.append((key, value))
+    return sorted(groups.items())
+
+
 def mul_trunc(p: dict, q: dict, step: int) -> dict:
-    """Concatenation product of two series, dropping words longer than step."""
+    """Concatenation product of two series, dropping words longer than step.
+    The words of q are grouped by length once, so pairs past the step are
+    never visited."""
+    classes = graded(q)
     out: dict = {}
     get = out.get
     for w1, c1 in p.items():
         room = step - len(w1)
-        for w2, c2 in q.items():
-            if len(w2) > room:
-                continue
-            w = w1 + w2
-            prev = get(w)
-            out[w] = c1 * c2 if prev is None else prev + c1 * c2
+        for n, terms in classes:
+            if n > room:
+                break
+            for w2, c2 in terms:
+                w = w1 + w2
+                prev = get(w)
+                out[w] = c1 * c2 if prev is None else prev + c1 * c2
     return {w: c for w, c in out.items() if c}
 
 

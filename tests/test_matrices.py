@@ -2,7 +2,7 @@
 
 import ast
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import add
 from pathlib import Path
 from random import Random
@@ -16,6 +16,8 @@ from nilbch.growth import generate_ball, ut_generators
 from nilbch.matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
+    _divided,
+    _horner,
     _pairs,
     mat_exp,
     mat_identity,
@@ -412,6 +414,56 @@ SERIES = {
 }
 
 
+def loop_mul(d, x, y):
+    return loop_tri_mul(d, x, y, tuple(map(add, x, y)))
+
+
+def neumann_inverse(d, x):
+    """The inverse route the generated kernel replaced: the Neumann series
+    sum (-x)^k by Horner's rule in ints over one denominator, divided once."""
+    coeffs = [((-1) ** k, 1) for k in range(1, d)]
+    return _divided(_horner(lambda x, y, b: loop_tri_mul(d, x, y, b), coeffs))(x)
+
+
+def loop_power(d, x, k):
+    """Square and multiply on the loop product, inverting by the Neumann
+    series for k < 0."""
+    out = None
+    if k < 0:
+        x, k = neumann_inverse(d, x), -k
+    while k:
+        if k & 1:
+            out = x if out is None else loop_mul(d, out, x)
+        k >>= 1
+        if k:
+            x = loop_mul(d, x, x)
+    return (0,) * len(x) if out is None else out
+
+
+def loop_commutator(d, g, h):
+    return loop_mul(d, loop_mul(d, g, h), neumann_inverse(d, loop_mul(d, h, g)))
+
+
+def dense_of(d, tri):
+    """The full rows of I + tri."""
+    it = iter(tri)
+    return [[F(1) if i == j else next(it) if j > i else F(0) for j in range(d)] for i in range(d)]
+
+
+def tri_of(dense):
+    d = len(dense)
+    return tuple(dense[i][j] for i in range(d) for j in range(i + 1, d))
+
+
+def dense_binomial_power(a, k):
+    """(I + N)^k as the finite binomial series sum C(k, j) N^j, for any k."""
+    n = dense_add(a, dense_identity(len(a)), -1)
+    return dense_series(n, lambda j: prod(range(k, k - j, -1)) // factorial(j))
+
+
+POWERS = (*range(-3, 4), 46176, -46176)
+
+
 @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])
 def test_generated_kernels_and_integer_series_match_references(kind):
     rng = Random(f"matrices:kernels:{kind}")
@@ -419,11 +471,23 @@ def test_generated_kernels_and_integer_series_match_references(kind):
         tri = triangles(d)
         for _ in range(3):
             x, y = (random_operand(d, kind, rng) for _ in range(2))
-            assert tri.mul(x, y) == loop_tri_mul(d, x, y, tuple(map(add, x, y)))
+            assert tri.mul(x, y) == loop_mul(d, x, y)
             assert tri.bracket(x, y) == loop_bracket(d, x, y)
             for name, coeff in SERIES.items():
                 want = fraction_series(d, x, coeff)
                 assert typed(getattr(tri, name)(x)) == typed(canonical(want))
+            # the straight-line inverse against the Neumann series it replaced,
+            # and every route through it, value and type entry by entry
+            assert typed(tri.inverse(x)) == typed(neumann_inverse(d, x))
+            dx, dy = dense_of(d, x), dense_of(d, y)
+            got = tri.commutator(x, y)
+            assert typed(got) == typed(loop_commutator(d, x, y))
+            hg_inverse = dense_binomial_power(dense_mul(dy, dx), -1)
+            assert got == tri_of(dense_mul(dense_mul(dx, dy), hg_inverse))
+            for k in POWERS:
+                got = tri.power(x, k)
+                assert typed(got) == typed(loop_power(d, x, k))
+                assert got == tri_of(dense_binomial_power(dx, k))
 
 
 # the internals of the triangle arithmetic, which only `matrices` may name

@@ -27,6 +27,8 @@ def test_value_types_compare_hash_and_print_by_field(name):
     fields = type(a)._FIELDS
     values = tuple(getattr(a, f) for f in fields)
     assert a == b and a is not b
+    # one getter per class; a one-field record still gives a 1-tuple
+    assert type(a._values()) is tuple and a._values() == values
     assert hash(a) == hash(b) == hash(values)
     assert list(a._asdict().items()) == list(zip(fields, values))
     assert repr(a) == f"{type(a).__name__}(" + ", ".join(

@@ -99,6 +99,44 @@ def test_mul_truncates_high_degrees():
     assert mul_trunc(p, p, 1) == {}
 
 
+def pairwise_mul_trunc(p: dict, q: dict, step: int) -> dict:
+    """The pair loop that grouping the right operand by length replaced: every
+    pair of terms, each length tested against the room left."""
+    out: dict = {}
+    for w1, c1 in p.items():
+        room = step - len(w1)
+        for w2, c2 in q.items():
+            if len(w2) > room:
+                continue
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+def random_series(rng: Random, letters: int, step: int) -> dict:
+    """Up to 12 small int coefficients on words of length 0..step + 1: the
+    empty word, and words past the step that the product must drop."""
+    out = {}
+    for _ in range(rng.randint(0, 12)):
+        w = tuple(rng.randrange(letters) for _ in range(rng.randint(0, step + 1)))
+        out[w] = rng.randint(-2, 2)
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("step", range(0, 7))
+def test_grouped_mul_trunc_matches_the_pair_loop(step):
+    rng = Random(f"series:mul:{step}")
+    for letters in (1, 2, 3):
+        for _ in range(40):
+            p, q = random_series(rng, letters, step), random_series(rng, letters, step)
+            assert mul_trunc(p, q, step) == pairwise_mul_trunc(p, q, step)
+    # the empty word alone is the unit, at any step
+    q = random_series(rng, 2, step)
+    unit = {EMPTY_WORD: 1}
+    kept = {w: c for w, c in q.items() if len(w) <= step}
+    assert mul_trunc(unit, q, step) == mul_trunc(q, unit, step) == kept
+
+
 def test_mul_drops_exact_zeros():
     p = {(0,): Fraction(1)}
     q = {(1,): Fraction(1)}
