@@ -14,20 +14,24 @@ its operands, makes one call there and wraps the result, and the growth lab
 and word evaluation (`matrix_group_ops`) call it directly. Three products
 over i < k < j carry the whole group law: x + y + xy (mul), base + xy (the
 series) and xy - yx (bracket), each generated as straight-line code, one
-tuple display built from the triangle's index pairs; the inverse is
-straight-line code too, y = -x - xy solved from the bottom row up, with no
-division. One truncated series gives exp and log; it clears the entries'
-common denominator and the coefficients' denominators, runs Horner's rule in
-ints and divides each entry once at the end; the growth lab keeps logs as
-int numerators over D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket
-level j over D^(j+1).
+tuple display built from the triangle's index pairs. The inverse, the power
+and the commutator are straight-line code too, none with a division by an
+entry: the inverse solves y = -x - xy from the bottom row up; the power
+(I + x)^k is the binomial series sum C(k, j) x^j over j < d, a polynomial in
+k, by Horner's rule, so any k, negative or large, takes d - 2 steps; the
+commutator gh(hg)^-1 is one right division, solved row by row from the left.
+One truncated series gives exp and log; it clears the entries' common
+denominator and the coefficients' denominators, runs Horner's rule in ints
+and divides each entry once at the end; the growth lab keeps logs as int
+numerators over D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket level j
+over D^(j+1).
 
 Entries are ints where integral and Fractions otherwise: the constructor,
-exp, log, the inverse and nil_scale store every integral entry as an int,
-and sums and products of int triangles stay ints, so UT(d, Z) never leaves
-ints. A sum or product of Fraction entries may keep an integral value as a
-Fraction; Fraction(2) == 2 and both hash alike, so equality, hashing and the
-`.tri` order ignore the type.
+exp, log, the inverse, the power, the commutator and nil_scale store every
+integral entry as an int, and sums and products of int triangles stay ints,
+so UT(d, Z) never leaves ints. A sum or product of Fraction entries may
+keep an integral value as a Fraction; Fraction(2) == 2 and both hash alike,
+so equality, hashing and the `.tri` order ignore the type.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, lcm
-from operator import add
+from operator import add, index as _index
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -136,15 +140,19 @@ def triangles(d: int) -> SimpleNamespace:
     zero, add(x, y) and scale(x, c) are the vector space. mul(x, y) =
     x + y + xy is the product of I + x and I + y, and bracket(x, y) =
     xy - yx; both are straight-line code, one tuple display each, compiled
-    from the indices of `_pairs(d)`. inverse(x) is straight-line code as
-    well: (I + x)^-1 = I + y with y_ij = -(x_ij + sum x_ik y_kj), assigned
-    from the bottom row up, so int triangles stay ints with no division;
-    an input with a Fraction entry comes back canonical (integral entries as
-    ints). log(x) reads x as I + x and exp(x) x as nilpotent; both are
-    truncated series by Horner's rule on a third display, base + xy (log_num
-    and exp_num: undivided, on int numerators). power(x, k) squares and
-    multiplies, inverting first for k < 0; commutator(g, h) is (gh)(hg)^-1,
-    one inverse.
+    from the indices of `_pairs(d)`. inverse, power and commutator are
+    straight-line code as well, with no division by an entry, so int
+    triangles stay ints; an input with a Fraction entry comes back canonical
+    (integral entries as ints). inverse(x): (I + x)^-1 = I + y with
+    y_ij = -(x_ij + sum x_ik y_kj), assigned from the bottom row up.
+    power(x, k): (I + x)^k = I + sum C(k, j) x^j over 0 < j < d, for any
+    integer k (read through operator.index, so a float or a Fraction is a
+    TypeError), by Horner's rule in d - 2 products. commutator(x, y): the
+    group commutator gh(hg)^-1 of g = I + x and h = I + y, as I + z with
+    z = xy - yx - zq, q = x + y + yx, solved row by row from the left.
+    log(x) reads x as I + x and exp(x) x as nilpotent; both are truncated
+    series by Horner's rule on a third display, base + xy (log_num and
+    exp_num: undivided, on int numerators).
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
@@ -166,50 +174,76 @@ def triangles(d: int) -> SimpleNamespace:
     def display(entries):
         return f"    return ({''.join(f'{e}, ' for e in entries)})\n"
 
+    def checked(value, *operands):
+        """Return value, made canonical unless every operand entry is an int."""
+        ints = " and ".join(f"_INT.issuperset(map(type, {v}))" for v in operands)
+        return f"    return {value} if {ints} else _canonical({value})\n"
+
+    def result(name):
+        return f"    r = ({''.join(f'{name}{t}, ' for t in range(n))})\n"
+
     # (I + x)^-1 = I + y with y = -x - xy, row by row from the bottom: y_ij
     # reads only y_kj, k > i, so each entry is assigned before it is read
     solve = "".join(
         f"    y{t} = -({' + '.join([f'x{t}', *products(pairs[t])])})\n" for t in reversed(range(n))
+    )
+    # (I + x)^k is the sum of c_j x^j over j < d with c_j = C(k, j), exact in
+    # ints for every integer k since c_(j-1) (k - j + 1) = j c_j. By Horner's
+    # rule a = c_(d-1) x, then a = c_j x + x a for j = d - 2 .. 1. Entry
+    # (i, l) of x a reads a only in rows below i, so level j is read only
+    # from row j - 1 down
+    row = [i for i in range(d) for _ in range(i + 1, d)]
+    width = [j - i for i in range(d) for j in range(i + 1, d)]
+    binomials = "".join(f"    c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, d))
+    horner = "".join(
+        f"    a{j}_{t} = c{j} * x{t}"
+        f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
+        for j in reversed(range(1, d))
+        for t in range(n)
+        if row[t] >= j - 1
+    )
+    # gh(hg)^-1 = (I + p)(I + q)^-1 = I + z with p = x + y + xy and
+    # q = x + y + yx, one right division: z + q + zq = p, so
+    # z_ij = (xy - yx)_ij - sum z_ik q_kj, solved row by row from the left.
+    # z is 0 at width 1, so the sum reads q only from row 2 down
+    division = "".join(
+        f"    q{t} = {' + '.join([f'x{t}', f'y{t}', *products(pairs[t], 'y{p} * x{q}')])}\n"
+        for t in range(n)
+        if row[t] >= 2
+    ) + "".join(
+        f"    z{t} = {bracket[t]}"
+        f"{''.join(f' - z{p} * q{q}' for p, q in pairs[t] if width[p] > 1)}\n"
+        for t in range(n)
     )
     source = (
         f"def mul(x, y):\n{unpack('x', 'y')}{display(mul)}"
         f"def prod(x, y, b):\n{unpack('x', 'y', 'b')}{display(prod)}"
         f"def bracket(x, y):\n{unpack('x', 'y')}{display(bracket)}"
         f"def inverse(x):\n{unpack('x')}{solve}"
-        f"    y = ({''.join(f'y{t}, ' for t in range(n))})\n"
-        "    return y if _INT.issuperset(map(type, x)) else _canonical(y)\n"
+        f"{result('y')}{checked('r', 'x')}"
+        "def power(x, k):\n"
+        f"    k = _index(k)\n    if k == 1:\n    {checked('x', 'x')}"
+        f"{unpack('x')}    c1 = k\n{binomials}{horner}"
+        f"{result('a1_')}{checked('r', 'x')}"
+        f"def commutator(x, y):\n{unpack('x', 'y')}{division}"
+        f"{result('z')}{checked('r', 'x', 'y')}"
     )
-    namespace: dict = {"_INT": frozenset({int}), "_canonical": _canonical}
+    namespace: dict = {"_INT": frozenset({int}), "_canonical": _canonical, "_index": _index}
     exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
-    mul, prod, inverse = namespace["mul"], namespace["prod"], namespace["inverse"]
-    zero, ks = (0,) * n, range(1, d)
+    prod = namespace["prod"]
+    ks = range(1, d)
     exp_num = _horner(prod, [(1, factorial(k)) for k in ks])
     log_num = _horner(prod, [((-1) ** (k + 1), k) for k in ks])
 
-    def power(t: Tri, k: int) -> Tri:
-        out = None
-        if k < 0:
-            t, k = inverse(t), -k
-        while k:
-            if k & 1:
-                out = t if out is None else mul(out, t)
-            k >>= 1
-            if k:
-                t = mul(t, t)
-        return zero if out is None else out
-
-    def commutator(g: Tri, h: Tri) -> Tri:
-        return mul(mul(g, h), inverse(mul(h, g)))
-
     return SimpleNamespace(
-        zero=zero,
+        zero=(0,) * n,
         add=_add,
         scale=_scale,
         bracket=namespace["bracket"],
-        mul=mul,
-        inverse=inverse,
-        power=power,
-        commutator=commutator,
+        mul=namespace["mul"],
+        inverse=namespace["inverse"],
+        power=namespace["power"],
+        commutator=namespace["commutator"],
         exp=_divided(exp_num),
         log=_divided(log_num),
         exp_num=exp_num,
@@ -304,6 +338,8 @@ def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
 
 
 def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
+    """a^k for any integer k, as the binomial series sum C(k, j) (a - I)^j
+    over j < d; a float or a Fraction exponent is a TypeError."""
     d = _dim(UnipotentMatrix, a)
     return UnipotentMatrix._raw(d, triangles(d).power(a.tri, k))
 
