@@ -13,6 +13,11 @@ Grammar (whitespace separates factors and is otherwise insignificant):
 "c (" is the symbol c followed by a parenthesized subword. Exponent zero is
 not expressible, so parsed words never contain trivial factors; parsing also
 merges adjacent equal atoms, making parse-then-serialize a canonical form.
+
+Evaluation compiles a word once, on first use, into a flat straight-line
+program. Each distinct subword is evaluated once per call, so a
+realization's operations must be pure, and power is never called at
+exponent 1.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ class CommutatorFactor(Record):
 
 
 class FormalWord(Record):
-    __slots__ = ("factors",)
+    # _program: the compiled form `evaluate_word` keeps, not a field
+    __slots__ = ("factors", "_program")
     _DEFAULTS = {"factors": ()}
 
     def __iter__(self):
@@ -226,12 +232,16 @@ def parse(text: str) -> FormalWord:
 
 class GroupOps:
     """The operations needed to evaluate a word in some group realization:
-    plain slots, read directly by `evaluate_word`.
+    plain slots, read directly by `evaluate_word` on every call.
 
     power(g, k) is the realization's own integer power, inverses included,
     and commutator(g, h) its own g h g^-1 h^-1. A realization on another representation (matrix
     triangles) passes enter and leave, applied once per env value and once
     per result.
+
+    Each distinct subword is evaluated once per call and its value reused
+    wherever the subword recurs, so the operations must be pure; power is
+    never called at exponent 1.
     """
 
     __slots__ = ("identity", "mul", "_power", "commutator", "enter", "leave")
@@ -253,28 +263,86 @@ class GroupOps:
         self.leave = leave
 
 
+# the kinds of a compiled word's steps
+_SYMBOL, _COMMUTATOR, _POWER, _MUL, _IDENTITY = range(5)
+
+# the slot's own setter: the way past Record's refusal to assign
+_set_program = FormalWord._program.__set__
+
+
 def evaluate_word(word: FormalWord, env: dict, ops: GroupOps):
-    """Evaluate a word over an environment mapping symbols to group values."""
+    """Evaluate a word over an environment mapping symbols to group values.
+
+    The word is compiled on first use into a straight-line program, kept on
+    the word, that evaluates each distinct subword and each distinct power
+    once and calls no power at exponent 1."""
+    try:
+        program = word._program
+    except AttributeError:
+        program = _compile(word)
+        _set_program(word, program)
     if ops.enter is None:
-        return _evaluate(word, env, ops)
+        return _run(program, env, ops)
     env = {name: ops.enter(g) for name, g in env.items()}
-    return ops.leave(_evaluate(word, env, ops))
+    return ops.leave(_run(program, env, ops))
 
 
-def _evaluate(word: FormalWord, env: dict, ops: GroupOps):
-    out = None  # the identity, left out of the first product
-    for f in word.factors:
-        if isinstance(f, SymbolFactor):
-            if f.name not in env:
-                raise UnboundSymbolError(f.name)
-            base = env[f.name]
-        elif isinstance(f, GroupFactor):
-            base = _evaluate(f.inner, env, ops)
+def _compile(word: FormalWord) -> tuple:
+    """The steps (kind, x, y) that evaluate `word`, each appending one value
+    to a register list, and the register of the word's value.
+
+    A step is emitted once and its register reused wherever the same step
+    recurs, so equal subwords share one register; the keys are steps over
+    register numbers, flat and cheap to hash, where the subwords themselves
+    would be hashed down their whole depth. Steps follow the order in which
+    a left-to-right recursive walk meets each one first, so an unbound
+    symbol is reported where that walk would meet it."""
+    steps: list[tuple] = []
+    registers: dict[tuple, int] = {}
+
+    def emit(step: tuple) -> int:
+        if step not in registers:
+            registers[step] = len(steps)
+            steps.append(step)
+        return registers[step]
+
+    def subword(w: FormalWord) -> int:
+        out = None
+        for f in w.factors:
+            if isinstance(f, SymbolFactor):
+                g = emit((_SYMBOL, f.name, None))
+            elif isinstance(f, GroupFactor):
+                g = subword(f.inner)
+            else:
+                g = emit((_COMMUTATOR, subword(f.left), subword(f.right)))
+            if f.exponent != 1:
+                g = emit((_POWER, g, f.exponent))
+            out = g if out is None else emit((_MUL, out, g))
+        return emit((_IDENTITY, None, None)) if out is None else out
+
+    result = subword(word)
+    return tuple(steps), result
+
+
+def _run(program: tuple, env: dict, ops: GroupOps):
+    steps, result = program
+    mul, power, commutator = ops.mul, ops._power, ops.commutator
+    values: list = []
+    push = values.append
+    for kind, x, y in steps:
+        if kind == _MUL:
+            push(mul(values[x], values[y]))
+        elif kind == _COMMUTATOR:
+            push(commutator(values[x], values[y]))
+        elif kind == _POWER:
+            push(power(values[x], y))
+        elif kind == _SYMBOL:
+            if x not in env:
+                raise UnboundSymbolError(x)
+            push(env[x])
         else:
-            base = ops.commutator(_evaluate(f.left, env, ops), _evaluate(f.right, env, ops))
-        g = ops._power(base, f.exponent)
-        out = g if out is None else ops.mul(out, g)
-    return ops.identity if out is None else out
+            push(ops.identity)
+    return values[result]
 
 
 def random_word(rng, symbols: tuple[str, ...], max_factors: int = 5, depth: int = 2) -> FormalWord:

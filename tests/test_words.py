@@ -5,6 +5,8 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nilbch import group
+from nilbch.algebra import AlgebraContext
 from nilbch.errors import UnboundSymbolError, WordSyntaxError
 from nilbch.identities import sum_word
 from nilbch.matrices import (
@@ -175,7 +177,117 @@ def object_ops(d):
     def commutator(g, h):
         return mat_mul(mat_mul(g, h), mat_mul(mat_inverse(g), mat_inverse(h)))
 
-    return GroupOps(mat_identity(d), mat_mul, power, commutator)
+    def enter(g):
+        # the dimension and type check matrix_group_ops makes on entry
+        mat_mul(mat_identity(d), g)
+        return g
+
+    return GroupOps(mat_identity(d), mat_mul, power, commutator, enter, lambda g: g)
+
+
+def _evaluate(word: FormalWord, env: dict, ops: GroupOps):
+    out = None  # the identity, left out of the first product
+    for f in word.factors:
+        if isinstance(f, SymbolFactor):
+            if f.name not in env:
+                raise UnboundSymbolError(f.name)
+            base = env[f.name]
+        elif isinstance(f, GroupFactor):
+            base = _evaluate(f.inner, env, ops)
+        else:
+            base = ops.commutator(_evaluate(f.left, env, ops), _evaluate(f.right, env, ops))
+        g = ops._power(base, f.exponent)
+        out = g if out is None else ops.mul(out, g)
+    return ops.identity if out is None else out
+
+
+def recursive_evaluate(word, env, ops):
+    """The oracle for the compiled route: a walk of the word tree that
+    evaluates every factor where it stands, powers included."""
+    if ops.enter is None:
+        return _evaluate(word, env, ops)
+    env = {name: ops.enter(g) for name, g in env.items()}
+    return ops.leave(_evaluate(word, env, ops))
+
+
+def test_sum_words_match_the_recursion():
+    rng = Random("words:recursion:sum")
+    for step in range(1, 6):
+        word, ops = sum_word(step).word, matrix_group_ops(step + 1)
+        for _ in range(2):
+            env = {"a": random_unipotent(step + 1, rng), "b": random_unipotent(step + 1, rng)}
+            assert evaluate_word(word, env, ops) == recursive_evaluate(word, env, ops)
+
+
+def test_deep_random_words_match_the_recursion():
+    # over two symbols at depth 3 a subword often recurs, and so is shared
+    rng = Random("words:recursion:random")
+    words = [random_word(rng, ("a", "b"), depth=3) for _ in range(50)]
+    for d in range(2, 7):
+        ops = matrix_group_ops(d)
+        for word in words:
+            for env in (
+                {s: random_unipotent(d, rng) for s in ("a", "b")},
+                {s: mat_exp(random_nilpotent(d, rng)) for s in ("a", "b")},
+            ):
+                assert evaluate_word(word, env, ops) == recursive_evaluate(word, env, ops)
+    assert evaluate_word(FormalWord(), env, ops) == recursive_evaluate(FormalWord(), env, ops)
+
+
+@pytest.mark.parametrize("step", [3, 4, 5])
+def test_group_elements_match_the_recursion(step):
+    rng = Random(f"words:recursion:group:{step}")
+    ctx = AlgebraContext(2, step)
+    ops = group.group_ops(ctx)
+    env = {"a": group.exp(ctx.generator(0)), "b": group.exp(ctx.generator(1))}
+    for word in [sum_word(step).word] + [random_word(rng, ("a", "b")) for _ in range(3)]:
+        assert evaluate_word(word, env, ops) == recursive_evaluate(word, env, ops)
+    assert evaluate_word(FormalWord(), env, ops) == recursive_evaluate(FormalWord(), env, ops)
+
+
+def _counted(ops, counts):
+    def count(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    for name in ("mul", "_power", "commutator"):
+        setattr(ops, name, count(name, getattr(ops, name)))
+    return ops
+
+
+@pytest.mark.parametrize(
+    "step, compiled, recursive",
+    [
+        (3, (5, 4, 4), (15, 4, 5)),
+        (4, (8, 7, 7), (36, 7, 14)),
+        (5, (14, 13, 16), (90, 13, 38)),
+    ],
+)
+def test_sum_word_operation_counts(step, compiled, recursive):
+    # (power, mul, commutator) calls: each distinct commutator and power once,
+    # no power at exponent 1, where the recursion repeats both
+    rng = Random("words:counts")
+    env = {"a": random_unipotent(step + 1, rng), "b": random_unipotent(step + 1, rng)}
+    word = sum_word(step).word
+    for evaluate, want in ((evaluate_word, compiled), (recursive_evaluate, recursive)):
+        counts = dict.fromkeys(("_power", "mul", "commutator"), 0)
+        evaluate(word, env, _counted(matrix_group_ops(step + 1), counts))
+        assert tuple(counts.values()) == want
+
+
+def test_an_evaluated_word_is_still_its_text():
+    # the compiled program is kept on the word but is not one of its fields
+    ops = matrix_group_ops(3)
+    env = {"a": random_unipotent(3, Random(1)), "b": random_unipotent(3, Random(2))}
+    for text in ("a^2 c(a, b) (a b)^-1 c(a, b)^3", str(sum_word(3).word)):
+        word = parse(text)
+        evaluate_word(word, env, ops)
+        fresh = parse(text)
+        assert word == fresh and hash(word) == hash(fresh) and repr(word) == repr(fresh)
+        assert word._asdict() == fresh._asdict()
 
 
 def test_sum_words_match_the_object_realization():
