@@ -26,12 +26,13 @@ and divides each entry once at the end; the growth lab keeps logs as int
 numerators over D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket level j
 over D^(j+1).
 
-Entries are ints where integral and Fractions otherwise: the constructor,
-exp, log, the inverse, the power, the commutator and nil_scale store every
-integral entry as an int, and sums and products of int triangles stay ints,
-so UT(d, Z) never leaves ints. A sum or product of Fraction entries may
-keep an integral value as a Fraction; Fraction(2) == 2 and both hash alike,
-so equality, hashing and the `.tri` order ignore the type.
+Entries are ints where integral and Fractions otherwise. The kernels do
+arithmetic only, under which int triangles stay ints, so UT(d, Z) never
+leaves ints; the constructor, exp, log, nil_scale, `mat_inverse`,
+`mat_power` and the leave of `matrix_group_ops` store every integral entry
+as an int, once per result. A sum or product of Fraction entries may keep
+an integral value as a Fraction; Fraction(2) == 2 and both hash alike, so
+equality, hashing and the `.tri` order ignore the type.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .series import cleared
 
 Rows = tuple[tuple[int | Fraction, ...], ...]
 Tri = tuple[int | Fraction, ...]
+_INT = frozenset({int})
 
 
 def _entry(x) -> int | Fraction:
@@ -134,121 +136,114 @@ def _pairs(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @cache
-def triangles(d: int) -> SimpleNamespace:
-    """All arithmetic on the triangles of d x d matrices, built once per d.
+def triangles(d: int) -> _Triangles:
+    """All arithmetic on the triangles of d x d matrices, one namespace per d.
 
-    zero, add(x, y) and scale(x, c) are the vector space. mul(x, y) =
-    x + y + xy is the product of I + x and I + y, and bracket(x, y) =
-    xy - yx; both are straight-line code, one tuple display each, compiled
-    from the indices of `_pairs(d)`. inverse, power and commutator are
-    straight-line code as well, with no division by an entry, so int
-    triangles stay ints; an input with a Fraction entry comes back canonical
-    (integral entries as ints). inverse(x): (I + x)^-1 = I + y with
-    y_ij = -(x_ij + sum x_ik y_kj), assigned from the bottom row up.
-    power(x, k): (I + x)^k = I + sum C(k, j) x^j over 0 < j < d, for any
+    zero, add(x, y) and scale(x, c) are the vector space; each other name is
+    built on its first read, so a caller compiles only what it reads.
+    mul(x, y) = x + y + xy is the product of I + x and I + y, bracket(x, y)
+    = xy - yx, inverse(x) gives (I + x)^-1, power(x, k) (I + x)^k for any
     integer k (read through operator.index, so a float or a Fraction is a
-    TypeError), by Horner's rule in d - 2 products. commutator(x, y): the
-    group commutator gh(hg)^-1 of g = I + x and h = I + y, as I + z with
-    z = xy - yx - zq, q = x + y + yx, solved row by row from the left.
+    TypeError) and commutator(x, y) gh(hg)^-1 for g = I + x and h = I + y,
+    each as its triangle. These five are straight-line code, arithmetic only,
+    with no division by an entry: int triangles stay ints, and from
+    Fractions an integral entry may stay a Fraction until `mat_inverse`,
+    `mat_power` or the leave of `matrix_group_ops` makes it an int.
     log(x) reads x as I + x and exp(x) x as nilpotent; both are truncated
-    series by Horner's rule on a third display, base + xy (log_num and
-    exp_num: undivided, on int numerators).
+    series by Horner's rule on prod(x, y, b) = b + xy (log_num and exp_num:
+    undivided, on int numerators).
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
+    return _Triangles(dim=d, zero=(0,) * len(_pairs(d)), add=_add, scale=_scale)
+
+
+class _Triangles(SimpleNamespace):
+    """A `triangles(d)` namespace: a name not yet kept is built by `_BUILD`
+    and kept. Two threads reading it first may each build it; one is kept."""
+
+    def __getattr__(self, name: str):  # reached only for a name not yet kept
+        if name not in _BUILD:
+            raise AttributeError(name)
+        return vars(self).setdefault(name, _BUILD[name](self))
+
+
+def _kernel(name: str, space: _Triangles):
+    """Kernel `name` of a `triangles(d)` namespace as straight-line code: the
+    entries unpacked, plain arithmetic on them, one tuple display returned."""
+    d = space.dim
     pairs = _pairs(d)
     n = len(pairs)
+    row = [i for i in range(d) for _ in range(i + 1, d)]
 
-    def products(ks, term="x{p} * y{q}"):
-        return [term.format(p=p, q=q) for p, q in ks]
+    def xy(t, term="x{p} * y{q}"):  # the terms over i < k < j at position t
+        return [term.format(p=p, q=q) for p, q in pairs[t]]
 
-    mul = [" + ".join([f"x{t}", f"y{t}", *products(ks)]) for t, ks in enumerate(pairs)]
-    prod = [" + ".join([f"b{t}", *products(ks)]) for t, ks in enumerate(pairs)]
-    bracket = [" + ".join(products(ks, "x{p} * y{q} - y{p} * x{q}")) or "0" for ks in pairs]
-
-    def unpack(*names):
-        if not n:  # d = 1: nothing to unpack, every display is ()
-            return ""
-        return "".join(f"    {''.join(f'{v}{t}, ' for t in range(n))}= {v}\n" for v in names)
+    def bracket(t):
+        return " + ".join(xy(t, "x{p} * y{q} - y{p} * x{q}")) or "0"
 
     def display(entries):
         return f"    return ({''.join(f'{e}, ' for e in entries)})\n"
 
-    def checked(value, *operands):
-        """Return value, made canonical unless every operand entry is an int."""
-        ints = " and ".join(f"_INT.issuperset(map(type, {v}))" for v in operands)
-        return f"    return {value} if {ints} else _canonical({value})\n"
+    if name == "mul":
+        params, body = "x, y", display(" + ".join([f"x{t}", f"y{t}", *xy(t)]) for t in range(n))
+    elif name == "prod":
+        params, body = "x, y, b", display(" + ".join([f"b{t}", *xy(t)]) for t in range(n))
+    elif name == "bracket":
+        params, body = "x, y", display(map(bracket, range(n)))
+    elif name == "inverse":
+        # (I + x)^-1 = I + y with y = -x - xy, row by row from the bottom: y_ij
+        # reads only y_kj, k > i, so each entry is assigned before it is read
+        params, body = "x", "".join(
+            f"    y{t} = -({' + '.join([f'x{t}', *xy(t)])})\n" for t in reversed(range(n))
+        ) + display(f"y{t}" for t in range(n))
+    elif name == "power":
+        # (I + x)^k is the sum of c_j x^j over j < d with c_j = C(k, j), exact
+        # in ints for every integer k since c_(j-1) (k - j + 1) = j c_j. By
+        # Horner's rule a = c_(d-1) x, then a = c_j x + x a for j = d - 2 .. 1.
+        # Entry (i, l) of x a reads a only in rows below i, so level j is read
+        # only from row j - 1 down
+        params, body = "x, k", "    c1 = k = _index(k)\n" + "".join(
+            f"    c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, d)
+        ) + "".join(
+            f"    a{j}_{t} = c{j} * x{t}"
+            f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
+            for j in reversed(range(1, d))
+            for t in range(n)
+            if row[t] >= j - 1
+        ) + display(f"a1_{t}" for t in range(n))
+    else:
+        # gh(hg)^-1 = (I + p)(I + q)^-1 = I + z with p = x + y + xy and
+        # q = x + y + yx, one right division: z + q + zq = p, so
+        # z_ij = (xy - yx)_ij - sum z_ik q_kj, solved row by row from the
+        # left; z is 0 at width 1 (no pairs), so q is read from row 2 down
+        params, body = "x, y", "".join(
+            f"    q{t} = {' + '.join([f'x{t}', f'y{t}', *xy(t, 'y{p} * x{q}')])}\n"
+            for t in range(n)
+            if row[t] >= 2
+        ) + "".join(
+            f"    z{t} = {bracket(t)}"
+            f"{''.join(f' - z{p} * q{q}' for p, q in pairs[t] if pairs[p])}\n"
+            for t in range(n)
+        ) + display(f"z{t}" for t in range(n))
+    unpack = "".join(
+        f"    {''.join(f'{v}{t}, ' for t in range(n))}= {v}\n"
+        for v in params.split(", ")
+        if n and v != "k"  # d < 2: nothing to unpack, every display is ()
+    )
+    namespace: dict = {"_index": _index}
+    exec(compile(f"def {name}({params}):\n{unpack}{body}", f"<triangles d={d}>", "exec"), namespace)
+    return namespace[name]
 
-    def result(name):
-        return f"    r = ({''.join(f'{name}{t}, ' for t in range(n))})\n"
 
-    # (I + x)^-1 = I + y with y = -x - xy, row by row from the bottom: y_ij
-    # reads only y_kj, k > i, so each entry is assigned before it is read
-    solve = "".join(
-        f"    y{t} = -({' + '.join([f'x{t}', *products(pairs[t])])})\n" for t in reversed(range(n))
-    )
-    # (I + x)^k is the sum of c_j x^j over j < d with c_j = C(k, j), exact in
-    # ints for every integer k since c_(j-1) (k - j + 1) = j c_j. By Horner's
-    # rule a = c_(d-1) x, then a = c_j x + x a for j = d - 2 .. 1. Entry
-    # (i, l) of x a reads a only in rows below i, so level j is read only
-    # from row j - 1 down
-    row = [i for i in range(d) for _ in range(i + 1, d)]
-    width = [j - i for i in range(d) for j in range(i + 1, d)]
-    binomials = "".join(f"    c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, d))
-    horner = "".join(
-        f"    a{j}_{t} = c{j} * x{t}"
-        f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
-        for j in reversed(range(1, d))
-        for t in range(n)
-        if row[t] >= j - 1
-    )
-    # gh(hg)^-1 = (I + p)(I + q)^-1 = I + z with p = x + y + xy and
-    # q = x + y + yx, one right division: z + q + zq = p, so
-    # z_ij = (xy - yx)_ij - sum z_ik q_kj, solved row by row from the left.
-    # z is 0 at width 1, so the sum reads q only from row 2 down
-    division = "".join(
-        f"    q{t} = {' + '.join([f'x{t}', f'y{t}', *products(pairs[t], 'y{p} * x{q}')])}\n"
-        for t in range(n)
-        if row[t] >= 2
-    ) + "".join(
-        f"    z{t} = {bracket[t]}"
-        f"{''.join(f' - z{p} * q{q}' for p, q in pairs[t] if width[p] > 1)}\n"
-        for t in range(n)
-    )
-    source = (
-        f"def mul(x, y):\n{unpack('x', 'y')}{display(mul)}"
-        f"def prod(x, y, b):\n{unpack('x', 'y', 'b')}{display(prod)}"
-        f"def bracket(x, y):\n{unpack('x', 'y')}{display(bracket)}"
-        f"def inverse(x):\n{unpack('x')}{solve}"
-        f"{result('y')}{checked('r', 'x')}"
-        "def power(x, k):\n"
-        f"    k = _index(k)\n    if k == 1:\n    {checked('x', 'x')}"
-        f"{unpack('x')}    c1 = k\n{binomials}{horner}"
-        f"{result('a1_')}{checked('r', 'x')}"
-        f"def commutator(x, y):\n{unpack('x', 'y')}{division}"
-        f"{result('z')}{checked('r', 'x', 'y')}"
-    )
-    namespace: dict = {"_INT": frozenset({int}), "_canonical": _canonical, "_index": _index}
-    exec(compile(source, f"<triangles d={d}>", "exec"), namespace)
-    prod = namespace["prod"]
-    ks = range(1, d)
-    exp_num = _horner(prod, [(1, factorial(k)) for k in ks])
-    log_num = _horner(prod, [((-1) ** (k + 1), k) for k in ks])
-
-    return SimpleNamespace(
-        zero=(0,) * n,
-        add=_add,
-        scale=_scale,
-        bracket=namespace["bracket"],
-        mul=namespace["mul"],
-        inverse=namespace["inverse"],
-        power=namespace["power"],
-        commutator=namespace["commutator"],
-        exp=_divided(exp_num),
-        log=_divided(log_num),
-        exp_num=exp_num,
-        log_num=log_num,
-    )
+_BUILD = {
+    **{k: partial(_kernel, k) for k in ("mul", "prod", "bracket")},  # the three displays
+    **{k: partial(_kernel, k) for k in ("inverse", "power", "commutator")},  # the solves
+    "exp_num": lambda s: _horner(s.prod, [(1, factorial(k)) for k in range(1, s.dim)]),
+    "log_num": lambda s: _horner(s.prod, [((-1) ** (k + 1), k) for k in range(1, s.dim)]),
+    "exp": lambda s: _divided(s.exp_num),
+    "log": lambda s: _divided(s.log_num),
+}
 
 
 def _numerators(tri: Tri) -> tuple[Sequence[int], int]:
@@ -266,9 +261,12 @@ def _quotients(nums, den: int) -> Tri:
     return tuple([v // den if not v % den else Fraction(v, den) for v in nums])
 
 
-def _canonical(tri) -> Tri:
-    """The entries as the matrices store them: integral values as ints."""
-    return tuple([v.numerator if v.denominator == 1 else v for v in tri])
+def _unipotent(d: int, tri: Tri) -> UnipotentMatrix:
+    """A kernel's result as a matrix, its integral entries made ints: one
+    test of the entry types when all are ints, as from int operands."""
+    if not _INT.issuperset(map(type, tri)):
+        tri = tuple([v.numerator if v.denominator == 1 else v for v in tri])
+    return UnipotentMatrix._raw(d, tri)
 
 
 def _add(x: Tri, y: Tri) -> Tri:
@@ -334,14 +332,14 @@ def mat_mul(a: UnipotentMatrix, b: UnipotentMatrix) -> UnipotentMatrix:
 def mat_inverse(a: UnipotentMatrix) -> UnipotentMatrix:
     """Inverse by back substitution: (I + a)^-1 = I + y, y = -a - ay."""
     d = _dim(UnipotentMatrix, a)
-    return UnipotentMatrix._raw(d, triangles(d).inverse(a.tri))
+    return _unipotent(d, triangles(d).inverse(a.tri))
 
 
 def mat_power(a: UnipotentMatrix, k: int) -> UnipotentMatrix:
     """a^k for any integer k, as the binomial series sum C(k, j) (a - I)^j
     over j < d; a float or a Fraction exponent is a TypeError."""
     d = _dim(UnipotentMatrix, a)
-    return UnipotentMatrix._raw(d, triangles(d).power(a.tri, k))
+    return _unipotent(d, triangles(d).power(a.tri, k))
 
 
 def mat_exp(n: NilpotentMatrix) -> UnipotentMatrix:
@@ -427,5 +425,5 @@ def matrix_group_ops(d: int):
         _dim(UnipotentMatrix, one, m)
         return m.tri
 
-    leave = partial(UnipotentMatrix._raw, d)
+    leave = partial(_unipotent, d)
     return GroupOps(tri.zero, tri.mul, tri.power, tri.commutator, enter, leave)

@@ -3,9 +3,9 @@
 import io
 import json
 from contextlib import redirect_stdout
+from copy import copy
 from fractions import Fraction
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 
@@ -190,14 +190,15 @@ def count_triangle_calls(monkeypatch, name: str, calls: list):
     original = growth.triangles
 
     def triangles(d):
-        found = original(d)
+        found = copy(original(d))  # builds any other name on its first read
         fn = getattr(found, name)
 
         def counted(*args):
             calls.append(1)
             return fn(*args)
 
-        return SimpleNamespace(**{**vars(found), name: counted})
+        setattr(found, name, counted)
+        return found
 
     monkeypatch.setattr(growth, "triangles", triangles)
 

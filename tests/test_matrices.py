@@ -25,6 +25,7 @@ from nilbch.matrices import (
     mat_log,
     mat_mul,
     mat_power,
+    matrix_group_ops,
     nil_add,
     nil_bracket,
     nil_scale,
@@ -479,35 +480,62 @@ POWERS = (*range(-3, 4), 46176, -46176, 10**30, -(10**30))
 
 @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])
 def test_generated_kernels_and_integer_series_match_references(kind):
+    # the kernels do arithmetic only, so they are compared by value; entry
+    # types are checked where a matrix leaves them: mat_inverse, mat_power
+    # and words evaluated through matrix_group_ops
     rng = Random(f"matrices:kernels:{kind}")
+    commutator = words.parse("c(a, b)")
+    powers = {k: words.parse(f"a^{k}") for k in POWERS if k}
     for d in range(1, 9):
-        tri = triangles(d)
+        tri, ops = triangles(d), matrix_group_ops(d)
         for _ in range(3):
             x, y = (random_operand(d, kind, rng) for _ in range(2))
+            dx, dy = dense_of(d, x), dense_of(d, y)
+            env = {"a": UnipotentMatrix(dx), "b": UnipotentMatrix(dy)}
             assert tri.mul(x, y) == loop_mul(d, x, y)
             assert tri.bracket(x, y) == loop_bracket(d, x, y)
             for name, coeff in SERIES.items():
-                want = fraction_series(d, x, coeff)
-                assert typed(getattr(tri, name)(x)) == typed(canonical(want))
+                got, want = getattr(tri, name)(x), fraction_series(d, x, coeff)
+                assert got == want
+                if name != "inverse":  # exp and log return integral entries as ints
+                    assert typed(got) == typed(canonical(want))
             # the straight-line kernels against the routes they replaced and
-            # the dense oracles: values equal, types canonical entry by entry
-            assert typed(tri.inverse(x)) == typed(neumann_inverse(d, x))
-            dx, dy = dense_of(d, x), dense_of(d, y)
-            got = tri.commutator(x, y)
-            assert typed(got) == typed(canonical(loop_commutator(d, x, y)))
+            # the dense oracles; types canonical entry by entry where the
+            # matrices leave the kernels
+            assert tri.inverse(x) == neumann_inverse(d, x)
+            assert typed(mat_inverse(env["a"]).tri) == typed(neumann_inverse(d, x))
+            got, want = tri.commutator(x, y), canonical(loop_commutator(d, x, y))
+            assert got == want
+            assert typed(words.evaluate_word(commutator, env, ops).tri) == typed(want)
             hg_inverse = dense_binomial_power(dense_mul(dy, dx), -1)
             assert got == tri_of(dense_mul(dense_mul(dx, dy), hg_inverse))
             for k in POWERS:
-                got = tri.power(x, k)
-                assert typed(got) == typed(canonical(loop_power(d, x, k)))
-                assert got == tri_of(dense_binomial_power(dx, k))
+                got, want = tri.power(x, k), canonical(loop_power(d, x, k))
+                assert got == want == tri_of(dense_binomial_power(dx, k))
+                assert typed(mat_power(env["a"], k).tri) == typed(want)
+                if k:  # a word has no exponent 0
+                    assert typed(words.evaluate_word(powers[k], env, ops).tri) == typed(want)
+
+
+def test_each_kernel_is_built_on_its_first_read():
+    # a namespace of its own, not the cached one that other tests have read
+    fresh = triangles.__wrapped__(4)
+    built = {"mul", "prod", "bracket", "inverse", "power", "commutator"}
+    built |= {"exp", "log", "exp_num", "log_num"}
+    assert built.isdisjoint(vars(fresh))
+    inverse = fresh.inverse
+    assert built & vars(fresh).keys() == {"inverse"} and fresh.inverse is inverse
+    assert fresh.log(fresh.zero) == fresh.zero
+    assert built & vars(fresh).keys() == {"inverse", "log", "log_num", "prod"}
+    with pytest.raises(AttributeError):
+        fresh.transpose
 
 
 # the internals of the triangle arithmetic, which only `matrices` may name;
 # growth imports `_quotients` (each entry divided once, for what it returns)
 # and `_dim` (its operand check) on purpose, so they are not listed
 TRIANGLE_INTERNALS = {
-    "_pairs", "_horner", "_divided", "_numerators", "_canonical", "_add", "_scale"
+    "_pairs", "_horner", "_divided", "_numerators", "_unipotent", "_add", "_scale"
 }
 
 
