@@ -7,10 +7,14 @@ containment certificates promise. The loops run on triangles (`.tri`
 tuples) with the arithmetic of `matrices.triangles(d)`, looked up before
 each loop; a matrix is built only for what a public function returns, in the
 order first made; logs, bracket levels and sumsets stay int numerators over
-one denominator. The greedy cover recounts a candidate only when it tops a
-heap of stale counts. Reports read canonically sorted triangles (row-major
-entry order, kept by positive scaling): deterministic, whatever the set-hash
-order.
+one denominator. A set keeps what it has enumerated and what it has
+returned, so each power, log set and chain level is built once and each is
+wrapped as matrices once: `power_set(a, 2)`, `powers_up_to` and
+`find_cover` share one A^2, and a later call returns the same objects. The
+greedy cover recounts a candidate only when it tops a heap of stale counts.
+The witness search settles its last two term sets by walking the last.
+Reports read canonically sorted triangles (row-major entry order, kept by
+positive scaling): deterministic, whatever the set-hash order.
 """
 
 from __future__ import annotations
@@ -38,21 +42,36 @@ from .record import Record
 
 class FiniteGroupSet(Record):
     """A finite set of unipotent matrices of one dimension. It keeps what
-    later checks on the same set reuse, all as frozensets of triangles: the
+    later checks on the same set reuse, as frozensets of triangles: the
     powers A^1, A^2, ... it has enumerated, their log sets as int numerators
     over den = lcm(1..d-1) e^(d-1), and its bracket chain, B_j over
     den^(j+1). e times any entry of a power is an int (an entry k places
-    above the diagonal sums k-fold products at most); in UT(d, Z), e = 1."""
+    above the diagonal sums k-fold products at most); in UT(d, Z), e = 1.
+    What it has returned as matrices it keeps too, each wrapped once: the
+    sets of its powers A^p, p > 1 (A^1 is the set itself), each holding the
+    triangles of A^p as its own A^1, and the chain levels."""
 
     __slots__ = ("dim", "elements", "_kept")
 
     def __init__(self, dim: int, elements: frozenset):
         if elements and _dim(UnipotentMatrix, *elements) != dim:
             raise ValueError("elements must have the dimension of the set")
+        self._keep(dim, elements, frozenset(_tris(elements)))
+
+    @classmethod
+    def _of(cls, dim: int, tris: frozenset) -> FiniteGroupSet:
+        """The set of the unipotent matrices of `tris`, triangles of
+        dimension dim, keeping that frozenset as its A^1."""
+        out = object.__new__(cls)
+        out._keep(dim, _wrap(UnipotentMatrix, dim, tris), tris)
+        return out
+
+    def _keep(self, dim: int, elements: frozenset, tris: frozenset):
         super().__init__(dim, elements)
-        tris, n = frozenset(_tris(elements)), max(dim - 1, 0)
+        n = max(dim - 1, 0)
         e = lcm(*[v.denominator for t in tris for v in t]) ** n
-        kept = {"powers": [tris], "logs": {}, "chain": [], "e": e, "den": lcm(*range(1, dim)) * e**n}
+        den = lcm(*range(1, dim)) * e**n
+        kept = {"powers": [tris], "logs": {}, "chain": [], "sets": {}, "levels": {}, "e": e, "den": den}
         object.__setattr__(self, "_kept", kept)
 
     def __len__(self) -> int:
@@ -179,6 +198,7 @@ def generate_ball(
 def product_set(
     a: FiniteGroupSet, b: FiniteGroupSet, *, cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroupSet:
+    """The product set AB, with the cap checked after each row of it."""
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     out = _image(triangles(a.dim).mul, _tris(a.elements), _tris(b.elements), "product set", cap)
@@ -212,15 +232,21 @@ def _power(a: FiniteGroupSet, k: int, cap: int) -> frozenset:
 
 
 def _kept_power(a: FiniteGroupSet, k: int) -> FiniteGroupSet:
-    """A^k, already kept on `a`, as a set of its own."""
-    power = a._kept["powers"][k - 1]
-    return FiniteGroupSet(a.dim, a.elements if k == 1 else _wrap(UnipotentMatrix, a.dim, power))
+    """A^k, already kept on `a` as triangles, as a set of its own: `a` when
+    k = 1, else wrapped once and kept."""
+    if k == 1:
+        return a
+    sets = a._kept["sets"]
+    got = sets.get(k)
+    if got is None:
+        got = sets[k] = FiniteGroupSet._of(a.dim, a._kept["powers"][k - 1])
+    return got
 
 
 def power_set(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> FiniteGroupSet:
-    """The power set A^k, computed incrementally and kept on `a`."""
+    """The power set A^k, computed incrementally and kept on `a`; A^1 is `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
     _power(a, k, cap)
@@ -230,7 +256,8 @@ def power_set(
 def powers_up_to(
     a: FiniteGroupSet, k: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[FiniteGroupSet]:
-    """The power sets A^1..A^k, computed incrementally and kept on `a`."""
+    """The power sets A^1..A^k, computed incrementally and kept on `a`; A^1
+    is `a`."""
     if k < 1:
         raise ValueError("power must be at least 1")
     _power(a, k, cap)
@@ -390,12 +417,19 @@ def compute_B_chain(
     a: FiniteGroupSet, n: int, *, cap: int = DEFAULT_SIZE_CAP
 ) -> list[frozenset]:
     """B_0 = log A and B_j = brackets of B_0 against B_(j-1), up to B_n.
-    The levels are kept on `a`, B_j as int numerators over den^(j+1); a
-    kept level still meets the cap.
+    The levels are kept on `a`, B_j as int numerators over den^(j+1) and as
+    the matrices returned; a kept level still meets the cap.
 
     Nilpotence forces B_n = {0} when A lives in UT(n+1, Z).
     """
-    chain, den = a._kept["chain"], a._kept["den"]
+    _chain(a, n, cap)
+    return [_level(a, j) for j in range(n + 1)]
+
+
+def _chain(a: FiniteGroupSet, n: int, cap: int) -> None:
+    """Keep B_0..B_n on `a` as int numerator triangles, each level built
+    once; a kept level still meets the cap."""
+    chain = a._kept["chain"]
     if not chain:
         chain.append(_log_power(a, 1, DEFAULT_SIZE_CAP))
     bracket = triangles(a.dim).bracket
@@ -404,20 +438,52 @@ def compute_B_chain(
             _check_cap("bracket set", len(chain[j]), cap)
         else:
             chain.append(frozenset(_image(bracket, chain[0], chain[-1], "bracket set", cap)))
-    return [_wrap(NilpotentMatrix, a.dim, b, den ** (j + 1)) for j, b in enumerate(chain[: n + 1])]
 
 
-def _witness_search(target, term_sets, idx, add):
-    """First (canonical order) decomposition of target across the term sets.
-    Every set but the last is a list of (t, -t) in canonical order; the last
-    is a lookup table."""
-    if idx == len(term_sets) - 1:
-        return (target,) if target in term_sets[idx] else None
-    for t, minus_t in term_sets[idx]:
-        rest = _witness_search(add(target, minus_t), term_sets, idx + 1, add)
-        if rest is not None:
-            return (t,) + rest
-    return None
+def _level(a: FiniteGroupSet, j: int) -> frozenset:
+    """Chain level B_j, kept on `a`, as matrices: wrapped once and kept."""
+    levels = a._kept["levels"]
+    got = levels.get(j)
+    if got is None:
+        den = a._kept["den"] ** (j + 1)
+        got = levels[j] = _wrap(NilpotentMatrix, a.dim, a._kept["chain"][j], den)
+    return got
+
+
+def _witness_search(term_sets: list, add):
+    """The first decomposition, in canonical order, of a target across the
+    term sets (frozensets of triangles), or None, as a function of the
+    target. The sets before the last two are scanned in canonical order,
+    each term negated once. The last two, P then L, are settled by walking
+    L: the least target - s in P over s in L is the first t in P, in
+    canonical order, with target - t in L."""
+
+    def negated(s):
+        return [(t, tuple([-v for v in t])) for t in s]
+
+    *outer, last = term_sets
+    if not outer:
+        def settle(target):
+            return (target,) if target in last else None
+    else:
+        prev, walk = outer.pop(), negated(last)
+
+        def settle(target):
+            hits = [(u, s) for s, minus_s in walk if (u := add(target, minus_s)) in prev]
+            return min(hits) if hits else None
+
+    outer = [negated(sorted(s)) for s in outer]
+
+    def search(target, idx=0):
+        if idx == len(outer):
+            return settle(target)
+        for t, minus_t in outer[idx]:
+            rest = search(add(target, minus_t), idx + 1)
+            if rest is not None:
+                return (t,) + rest
+        return None
+
+    return search
 
 
 def check_commutator_containment(
@@ -436,9 +502,11 @@ def check_commutator_containment(
     log(A^(k_i)); witnesses record one decomposition per checked element.
     """
     _check_sample(mode, sample_size)
+    if j < 0:
+        raise ValueError(f"bracket level must be nonnegative, got {j}")
     n = a.dim - 1
-    chain = compute_B_chain(a, min(j, n), cap=cap)
-    bj = chain[j] if j < len(chain) else frozenset({nil_zero(a.dim)})
+    _chain(a, min(j, n), cap)
+    bj = _level(a, j) if j <= n else frozenset({nil_zero(a.dim)})
     if not cert.rationals:
         # trivial certificate: valid only for the trivial bracket set
         failures = sum(1 for x in bj if x != nil_zero(a.dim))
@@ -452,11 +520,10 @@ def check_commutator_containment(
         frozenset([tuple([c * v for v in t]) for t in _log_power(a, k, cap)])
         for c, k in zip(factors, cert.exponents)
     ]
-    # earlier sets are scanned in canonical order, each term negated once
-    term_sets[:-1] = [[(t, tuple([-v for v in t])) for t in sorted(s)] for s in term_sets[:-1]]
+    search = _witness_search(term_sets, add)
     targets = _sample(sorted(bj, key=attrgetter("tri")), mode, sample_size, seed)
     scaled = [tuple([(v * common).numerator for v in x.tri]) for x in targets]
-    results = [(x, _witness_search(t, term_sets, 0, add)) for x, t in zip(targets, scaled)]
+    results = [(x, search(t)) for x, t in zip(targets, scaled)]
     failures = sum(1 for _, w in results if w is None)
     raw = NilpotentMatrix._raw
     witnesses = tuple(

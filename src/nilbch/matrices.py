@@ -11,20 +11,20 @@ Both types store only the d(d-1)/2 entries above the diagonal, row by row
 rebuilds the full d x d form. All arithmetic on bare triangles lives in one
 cached namespace per dimension, `triangles(d)`: each function here checks
 its operands, makes one call there and wraps the result, and the growth lab
-and word evaluation (`matrix_group_ops`) call it directly. Three products
-over i < k < j carry the whole group law: x + y + xy (mul), base + xy (the
-series) and xy - yx (bracket), each generated as straight-line code, one
-tuple display built from the triangle's index pairs. The inverse, the power
-and the commutator are straight-line code too, none with a division by an
-entry: the inverse solves y = -x - xy from the bottom row up; the power
-(I + x)^k is the binomial series sum C(k, j) x^j over j < d, a polynomial in
-k, by Horner's rule, so any k, negative or large, takes d - 2 steps; the
-commutator gh(hg)^-1 is one right division, solved row by row from the left.
-One truncated series gives exp and log; it clears the entries' common
-denominator and the coefficients' denominators, runs Horner's rule in ints
-and divides each entry once at the end; the growth lab keeps logs as int
-numerators over D = lcm(1..d-1) in UT(d, Z) (`log_num`) and bracket level j
-over D^(j+1).
+and word evaluation (`matrix_group_ops`) call it directly. Every kernel
+compiled there is straight-line code, none with a division by an entry.
+The products over i < k < j, x + y + xy (mul) and xy - yx (bracket), are
+each one tuple display built from the triangle's index pairs; the inverse
+solves y = -x - xy from the bottom row up; the power (I + x)^k is the
+binomial series sum C(k, j) x^j over j < d, a polynomial in k, by Horner's
+rule, so any k, negative or large, takes d - 2 steps; the commutator
+gh(hg)^-1 is one right division, solved row by row from the left. exp and
+log are truncated series with no product kernel under them: the entries'
+common denominator and the coefficients' denominators are cleared, Horner's
+rule runs unrolled in ints with the cleared coefficients as int literals
+(`exp_num`, `log_num`), and each entry is divided once at the end; the
+growth lab keeps logs as int numerators over D = lcm(1..d-1) in UT(d, Z)
+(`log_num`) and bracket level j over D^(j+1).
 
 Entries are ints where integral and Fractions otherwise. The kernels do
 arithmetic only, under which int triangles stay ints, so UT(d, Z) never
@@ -145,13 +145,15 @@ def triangles(d: int) -> _Triangles:
     = xy - yx, inverse(x) gives (I + x)^-1, power(x, k) (I + x)^k for any
     integer k (read through operator.index, so a float or a Fraction is a
     TypeError) and commutator(x, y) gh(hg)^-1 for g = I + x and h = I + y,
-    each as its triangle. These five are straight-line code, arithmetic only,
+    each as its triangle. log(x) reads x as I + x and exp(x) x as nilpotent;
+    both are truncated series, undivided in log_num(x, den) and
+    exp_num(x, den): x as int numerators over den in, int numerators over
+    one denominator out, as (numerators, denominator). The seven compiled
+    kernels (all but exp and log) are straight-line code, arithmetic only,
     with no division by an entry: int triangles stay ints, and from
     Fractions an integral entry may stay a Fraction until `mat_inverse`,
-    `mat_power` or the leave of `matrix_group_ops` makes it an int.
-    log(x) reads x as I + x and exp(x) x as nilpotent; both are truncated
-    series by Horner's rule on prod(x, y, b) = b + xy (log_num and exp_num:
-    undivided, on int numerators).
+    `mat_power` or the leave of `matrix_group_ops` makes it an int; exp and
+    log divide each entry of exp_num and log_num once.
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
@@ -182,13 +184,11 @@ def _kernel(name: str, space: _Triangles):
     def bracket(t):
         return " + ".join(xy(t, "x{p} * y{q} - y{p} * x{q}")) or "0"
 
-    def display(entries):
-        return f"    return ({''.join(f'{e}, ' for e in entries)})\n"
+    def display(entries, tail=""):
+        return f"    return ({''.join(f'{e}, ' for e in entries)}){tail}\n"
 
     if name == "mul":
         params, body = "x, y", display(" + ".join([f"x{t}", f"y{t}", *xy(t)]) for t in range(n))
-    elif name == "prod":
-        params, body = "x, y, b", display(" + ".join([f"b{t}", *xy(t)]) for t in range(n))
     elif name == "bracket":
         params, body = "x, y", display(map(bracket, range(n)))
     elif name == "inverse":
@@ -212,6 +212,25 @@ def _kernel(name: str, space: _Triangles):
             for t in range(n)
             if row[t] >= j - 1
         ) + display(f"a1_{t}" for t in range(n))
+    elif name in _SERIES:
+        # the sum of c_k N^k over 0 < k < d, N = x / den, with the c_k cleared
+        # to ints a_k over L: S / (L den^(d-1)) where, by Horner's rule,
+        # S = x (a_1 den^(d-2) + x (a_2 den^(d-3) + ... + x a_(d-1))), so
+        # level j is a_j den^(d-1-j) x + x a, read only from row j - 1 down
+        # as in power; the compiler folds the products by a literal 1
+        a, lcd = cleared([_SERIES[name](k) for k in range(1, d)])
+        den_to = ["1", "den", *[f"e{i}" for i in range(2, d)]]  # den^i
+        params, body = "x, den", "".join(
+            f"    e{i} = {den_to[i - 1]} * den\n" for i in range(2, d)
+        ) + "".join(
+            f"    c{j} = {a[j - 1]} * {den_to[d - 1 - j]}\n" for j in range(1, d)
+        ) + "".join(
+            f"    a{j}_{t} = c{j} * x{t}"
+            f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
+            for j in reversed(range(1, d))
+            for t in range(n)
+            if row[t] >= j - 1
+        ) + display((f"a1_{t}" for t in range(n)), f", {lcd} * {den_to[max(d - 1, 0)]}")
     else:
         # gh(hg)^-1 = (I + p)(I + q)^-1 = I + z with p = x + y + xy and
         # q = x + y + yx, one right division: z + q + zq = p, so
@@ -229,18 +248,21 @@ def _kernel(name: str, space: _Triangles):
     unpack = "".join(
         f"    {''.join(f'{v}{t}, ' for t in range(n))}= {v}\n"
         for v in params.split(", ")
-        if n and v != "k"  # d < 2: nothing to unpack, every display is ()
+        if n and v in ("x", "y")  # d < 2: nothing to unpack, every display is ()
     )
     namespace: dict = {"_index": _index}
     exec(compile(f"def {name}({params}):\n{unpack}{body}", f"<triangles d={d}>", "exec"), namespace)
     return namespace[name]
 
 
+# the coefficient c_k of N^k in each series, as an int pair (p, q)
+_SERIES = {
+    "exp_num": lambda k: (1, factorial(k)),
+    "log_num": lambda k: ((-1) ** (k + 1), k),
+}
+
 _BUILD = {
-    **{k: partial(_kernel, k) for k in ("mul", "prod", "bracket")},  # the three displays
-    **{k: partial(_kernel, k) for k in ("inverse", "power", "commutator")},  # the solves
-    "exp_num": lambda s: _horner(s.prod, [(1, factorial(k)) for k in range(1, s.dim)]),
-    "log_num": lambda s: _horner(s.prod, [((-1) ** (k + 1), k) for k in range(1, s.dim)]),
+    **{k: partial(_kernel, k) for k in ("mul", "bracket", "inverse", "power", "commutator", *_SERIES)},
     "exp": lambda s: _divided(s.exp_num),
     "log": lambda s: _divided(s.log_num),
 }
@@ -280,27 +302,6 @@ def _scale(tri: Tri, c) -> Tri:
     m, den = _numerators(tri)
     p = c.numerator
     return _quotients([v * p for v in m], den * c.denominator)
-
-
-def _horner(prod, coeffs):
-    """The sum of c_k N^k over 0 < k < d, for the d - 1 coefficients c_k as
-    int pairs (p, q), the whole series since N^d = 0, in ints. With N = M / D
-    (M ints) and c_k = a_k / L, cleared as in series, the sum is
-    S / (L D^(d-1)) where, by Horner's rule,
-    S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))). series(M, D)
-    returns (S, L D^(d-1)); `_divided` reads and writes triangles."""
-    a, lcd = cleared(coeffs[::-1])
-
-    def series(m: Sequence[int], den: int) -> tuple[Tri, int]:
-        acc, scale = [], 1
-        for ak in a:
-            c = ak * scale
-            base = [v * c for v in m]
-            acc = prod(m, acc, base) if acc else base
-            scale *= den
-        return tuple(acc), lcd * scale
-
-    return series
 
 
 def _divided(series):

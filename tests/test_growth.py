@@ -170,19 +170,28 @@ def test_powers_monotone_and_match_literal_products():
 
 
 def test_power_set_wraps_only_the_power_it_returns(monkeypatch):
+    # every set, built by the constructor or kept from triangles, goes
+    # through FiniteGroupSet._keep once
     a = heisenberg_ball(2)
     built = []
-    init = FiniteGroupSet.__init__
+    keep = FiniteGroupSet._keep
 
-    def counted(self, dim, elements):
+    def counted(self, dim, elements, tris):
         built.append(len(elements))
-        init(self, dim, elements)
+        keep(self, dim, elements, tris)
 
-    monkeypatch.setattr(FiniteGroupSet, "__init__", counted)
+    monkeypatch.setattr(FiniteGroupSet, "_keep", counted)
     assert len(power_set(a, 4)) == 1793
     assert built == [1793]
-    assert [len(p) for p in powers_up_to(a, 4)] == built[1:] == [17, 135, 593, 1793]
-    assert power_set(a, 1).elements is a.elements
+    # A^4 is kept as a set and A^1 is the set itself: only A^2 and A^3 are new
+    powers = powers_up_to(a, 4)
+    assert [len(p) for p in powers] == [17, 135, 593, 1793]
+    assert built == [1793, 135, 593]
+    assert all(p is q for p, q in zip(powers_up_to(a, 4), powers)) and len(built) == 3
+    assert power_set(a, 1) is a and powers[0] is a
+    # a kept set holds the triangles of its power as its A^1, not a copy
+    assert all(p._kept["powers"][0] is t for p, t in zip(powers[1:], a._kept["powers"][1:]))
+    assert [p.elements for p in powers] == [p.elements for p in literal_powers(a, 4)]
 
 
 def count_triangle_calls(monkeypatch, name: str, calls: list):
@@ -215,12 +224,14 @@ def test_kept_powers_serve_later_checks(monkeypatch):
     assert power_set(a, 3).elements == literal
     assert check_commutator_containment(a, 1, cert).failures == 0
     assert calls == []
-    # only frozensets are kept, so a set never holds itself
+    # triangles and matrices are kept as frozensets, and the sets of the
+    # powers past A^1, so a set never holds itself
     kept = a._kept
     assert all(
         type(s) is frozenset
-        for s in (*kept["powers"], *kept["logs"].values(), *kept["chain"])
+        for s in (*kept["powers"], *kept["logs"].values(), *kept["chain"], *kept["levels"].values())
     )
+    assert sorted(kept["sets"]) == [2, 3, 4] and all(s is not a for s in kept["sets"].values())
 
 
 def test_report_takes_each_log_set_and_the_chain_once(monkeypatch):
@@ -269,6 +280,65 @@ def test_kept_chain_level_still_meets_the_cap():
     with pytest.raises(SizeCapError) as err:
         compute_B_chain(a, 2, cap=size - 1)
     assert (err.value.what, err.value.size, err.value.cap) == ("bracket set", size, size - 1)
+
+
+def test_square_is_kept_once_for_every_caller():
+    # power_set, powers_up_to and the cover share the kept A^2; product_set
+    # keeps nothing and takes the literal product, equal to it
+    a = heisenberg_ball(1)
+    find_cover(a)
+    aa = power_set(a, 2)
+    assert aa is powers_up_to(a, 2)[1] is power_set(a, 2)
+    for b in (a, FiniteGroupSet(3, frozenset(a.elements))):
+        literal = product_set(a, b)
+        assert literal is not aa and literal == aa
+        assert literal.elements == {mat_mul(g, h) for g in a for h in a}
+
+
+def test_square_meets_the_cap_row_by_row_then_as_kept():
+    # product_set trips after the row that passes the cap, at the size the
+    # pairwise product reports, whatever `a` has kept
+    a = heisenberg_ball(1)
+    for b in (a, FiniteGroupSet(3, frozenset(a.elements)), a):
+        with pytest.raises(SizeCapError) as err:
+            product_set(a, b, cap=10)
+        assert (err.value.what, err.value.size, err.value.cap) == ("product set", 11, 10)
+        find_cover(a)
+    # power_set meets the cap with |A^2| once A^2 is kept
+    with pytest.raises(SizeCapError) as err:
+        power_set(a, 2, cap=10)
+    assert (err.value.size, err.value.cap) == (17, 10)
+
+
+def test_chain_levels_are_wrapped_once(monkeypatch):
+    a = heisenberg_ball(1)
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    wrapped = []
+    wrap = growth._wrap
+
+    def counted(kind, d, tris, den=1):
+        if kind is NilpotentMatrix:
+            wrapped.append(tris)
+        return wrap(kind, d, tris, den)
+
+    monkeypatch.setattr(growth, "_wrap", counted)
+    # a bracket check on its own wraps level j alone
+    report = check_commutator_containment(a, 1, cert)
+    assert len(wrapped) == 1 and wrapped[0] is a._kept["chain"][1]
+    chain = compute_B_chain(a, 2)
+    assert compute_B_chain(a, 2) == chain
+    assert all(x is y for x, y in zip(compute_B_chain(a, 2), chain))
+    assert chain[1] is a._kept["levels"][1]
+    # the chain call wrapped levels 0 and 2; nothing is wrapped twice
+    assert check_commutator_containment(a, 1, cert) == report
+    assert len(wrapped) == 3 and len({id(t) for t in wrapped}) == 3
+
+
+def test_bracket_check_refuses_a_negative_level():
+    a = heisenberg_ball(1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_commutator_containment(a, -1, SMALL_CERT)
+    assert a._kept["chain"] == []
 
 
 def test_inverse_set_of_symmetric_ball_is_itself():
@@ -499,6 +569,90 @@ def test_commutator_witnesses_match_unhoisted_search(name):
     want = witnesses_by_reference(WITNESS_SETS[name](), 1, cert)
     report = check_commutator_containment(WITNESS_SETS[name](), 1, cert)
     assert want and report.witnesses == want
+
+
+def witness_scan(target, term_sets, idx, add):
+    """The witness search the walk of the last set replaced: every
+    set but the last is a list of (t, -t) in canonical order and is scanned
+    in that order; the last is looked up."""
+    if idx == len(term_sets) - 1:
+        return (target,) if target in term_sets[idx] else None
+    for t, minus_t in term_sets[idx]:
+        rest = witness_scan(add(target, minus_t), term_sets, idx + 1, add)
+        if rest is not None:
+            return (t,) + rest
+    return None
+
+
+def scanned_term_sets(term_sets) -> list:
+    """The term sets as witness_scan reads them."""
+    head = [[(t, tuple(-v for v in t)) for t in sorted(s)] for s in term_sets[:-1]]
+    return head + [term_sets[-1]]
+
+
+def assert_search_matches_scan(term_sets, targets, add) -> list:
+    """The witnesses of the search and of the scan, target by target; the
+    search's results are returned."""
+    search = growth._witness_search(list(term_sets), add)
+    old = scanned_term_sets(term_sets)
+    got = [search(t) for t in targets]
+    assert got == [witness_scan(t, old, 0, add) for t in targets]
+    return got
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_witness_search_matches_scan_on_balls(monkeypatch, radius):
+    seen = []
+    search = growth._witness_search
+
+    def recorded(term_sets, add):
+        found = search(term_sets, add)
+        seen.append((list(term_sets), add, []))
+
+        def traced(target):
+            seen[-1][2].append(target)
+            return found(target)
+
+        return traced
+
+    monkeypatch.setattr(growth, "_witness_search", recorded)
+    cert = containment_certificate(1, AlgebraContext(2, 2))
+    report = check_commutator_containment(heisenberg_ball(radius), 1, cert)
+    (term_sets, add, targets), = seen
+    monkeypatch.setattr(growth, "_witness_search", search)
+    got = assert_search_matches_scan(term_sets, targets, add)
+    assert report.failures == got.count(None) == 0 and len(targets) == report.checked
+
+
+def rational_term_set(rng, size: int) -> frozenset:
+    """size distinct triangles of d = 3 with entries in {-1, -1/2, 0, 1/2, 1}."""
+    out = set()
+    while len(out) < size:
+        out.add(tuple(Fraction(rng.randint(-2, 2), 2) for _ in range(3)))
+    return frozenset(out)
+
+
+@pytest.mark.parametrize(
+    "sizes", [(8,), (6, 20), (20, 6), (9, 9), (4, 5, 18), (4, 18, 5), (7, 3, 3)],
+    ids=["one", "last-larger", "last-smaller", "equal", "3-last-larger", "3-last-smaller", "3-equal"],
+)
+def test_witness_search_matches_scan_on_synthetic_sets(sizes):
+    # entries from a few negative and positive halves, so most targets have
+    # many decompositions and the first in canonical order must be found;
+    # random targets with larger entries have none
+    rng = Random(f"growth:witness-sets:{sizes}")
+    term_sets = [rational_term_set(rng, k) for k in sizes]
+    add = growth.triangles(3).add
+    targets = [
+        tuple(sum(v) for v in zip(*(rng.choice(sorted(s)) for s in term_sets))) for _ in range(40)
+    ]
+    targets += [tuple(Fraction(rng.randint(-9, 9), 3) for _ in range(3)) for _ in range(20)]
+    targets += [(Fraction(-7, 2), 5, Fraction(11, 2))]  # out of reach of every sum
+    got = assert_search_matches_scan(term_sets, targets, add)
+    assert None not in got[:40] and got[-1] is None and got.count(None) > 1
+    for t, parts in zip(targets, got):
+        if parts is not None:
+            assert tuple(map(sum, zip(*parts))) == t
 
 
 def test_sets_refuse_matrices_of_another_type_or_dimension():

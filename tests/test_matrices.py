@@ -13,11 +13,11 @@ from nilbch import growth, words
 from nilbch.algebra import AlgebraContext
 from nilbch.bch import bch
 from nilbch.growth import generate_ball, ut_generators
+from nilbch.series import cleared
 from nilbch.matrices import (
     NilpotentMatrix,
     UnipotentMatrix,
     _divided,
-    _horner,
     _pairs,
     mat_exp,
     mat_identity,
@@ -432,11 +432,43 @@ def loop_mul(d, x, y):
     return loop_tri_mul(d, x, y, tuple(map(add, x, y)))
 
 
+def horner(prod, coeffs):
+    """The series route the generated exp_num and log_num replaced: the sum
+    of c_k N^k over 0 < k < d, for the d - 1 coefficients c_k as int pairs
+    (p, q), in ints. With N = M / D (M ints) and c_k = a_k / L, cleared as in
+    series, the sum is S / (L D^(d-1)) where, by Horner's rule,
+    S = M (a_1 D^(d-2) + M (a_2 D^(d-3) + ... + M a_(d-1))), one loop level
+    per coefficient on prod(x, y, b) = b + xy. series(M, D) returns
+    (S, L D^(d-1))."""
+    a, lcd = cleared(coeffs[::-1])
+
+    def series(m, den):
+        acc, scale = [], 1
+        for ak in a:
+            c = ak * scale
+            base = [v * c for v in m]
+            acc = prod(m, acc, base) if acc else base
+            scale *= den
+        return tuple(acc), lcd * scale
+
+    return series
+
+
+SERIES_COEFFS = {
+    "exp_num": lambda d: [(1, factorial(k)) for k in range(1, d)],
+    "log_num": lambda d: [((-1) ** (k + 1), k) for k in range(1, d)],
+}
+
+
+def loop_series(d, name):
+    return horner(lambda x, y, b: loop_tri_mul(d, x, y, b), SERIES_COEFFS[name](d))
+
+
 def neumann_inverse(d, x):
     """The inverse route the generated kernel replaced: the Neumann series
     sum (-x)^k by Horner's rule in ints over one denominator, divided once."""
     coeffs = [((-1) ** k, 1) for k in range(1, d)]
-    return _divided(_horner(lambda x, y, b: loop_tri_mul(d, x, y, b), coeffs))(x)
+    return _divided(horner(lambda x, y, b: loop_tri_mul(d, x, y, b), coeffs))(x)
 
 
 def loop_power(d, x, k):
@@ -517,16 +549,52 @@ def test_generated_kernels_and_integer_series_match_references(kind):
                     assert typed(words.evaluate_word(powers[k], env, ops).tri) == typed(want)
 
 
+@pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])
+def test_generated_series_match_the_horner_loop(kind):
+    # exp_num and log_num are unrolled straight-line code with the cleared
+    # coefficients as int literals; the Horner loop on the product b + xy is
+    # their oracle, on numerators of every kind and over every den
+    rng = Random(f"matrices:series:{kind}")
+
+    def entry():
+        pick = rng.choice(("int", "rational", "big")) if kind == "mixed" else kind
+        if pick == "big":
+            return rng.randint(-(2**200), 2**200)
+        return random_entry(pick, rng)
+
+    for d in range(8):
+        tri = triangles(d)
+        for _ in range(4):
+            x = tuple(entry() for _ in tri.zero)
+            for name in SERIES_COEFFS:
+                for den in (1, 2, 6, 12):
+                    got, want = getattr(tri, name)(x, den), loop_series(d, name)(x, den)
+                    assert got == want and type(got[1]) is int
+                    if kind in ("int", "big"):
+                        assert typed(got[0]) == typed(want[0])
+            for name in ("exp", "log"):
+                want = _divided(loop_series(d, f"{name}_num"))(x)
+                assert typed(getattr(tri, name)(x)) == typed(want)
+            # the round trips through the matrices
+            if d > 1:
+                u = UnipotentMatrix._raw(d, x)
+                n = NilpotentMatrix._raw(d, x)
+                assert mat_exp(mat_log(u)) == u and mat_log(mat_exp(n)) == n
+
+
 def test_each_kernel_is_built_on_its_first_read():
     # a namespace of its own, not the cached one that other tests have read
     fresh = triangles.__wrapped__(4)
-    built = {"mul", "prod", "bracket", "inverse", "power", "commutator"}
+    built = {"mul", "bracket", "inverse", "power", "commutator"}
     built |= {"exp", "log", "exp_num", "log_num"}
     assert built.isdisjoint(vars(fresh))
     inverse = fresh.inverse
     assert built & vars(fresh).keys() == {"inverse"} and fresh.inverse is inverse
+    # log is built on log_num alone: no product kernel is compiled for it
     assert fresh.log(fresh.zero) == fresh.zero
-    assert built & vars(fresh).keys() == {"inverse", "log", "log_num", "prod"}
+    assert built & vars(fresh).keys() == {"inverse", "log", "log_num"}
+    with pytest.raises(AttributeError):
+        fresh.prod
     with pytest.raises(AttributeError):
         fresh.transpose
 
@@ -535,7 +603,7 @@ def test_each_kernel_is_built_on_its_first_read():
 # growth imports `_quotients` (each entry divided once, for what it returns)
 # and `_dim` (its operand check) on purpose, so they are not listed
 TRIANGLE_INTERNALS = {
-    "_pairs", "_horner", "_divided", "_numerators", "_unipotent", "_add", "_scale"
+    "_pairs", "_SERIES", "_divided", "_numerators", "_unipotent", "_add", "_scale"
 }
 
 
