@@ -18,7 +18,6 @@ _EXPORTS = {
     "algebra": (
         "AlgebraContext",
         "LieElement",
-        "ad_power",
         "dimensions_by_degree",
         "eval_bracket_pattern",
         "hall_basis",
@@ -58,7 +57,6 @@ _EXPORTS = {
     ),
     "identities": (
         "ContainmentCertificate",
-        "ProductDecomposition",
         "SumWordResult",
         "SynthesisCertificate",
         "SynthesisResult",
@@ -66,8 +64,6 @@ _EXPORTS = {
         "commutator_log_tail",
         "containment_certificate",
         "extract_bracket",
-        "iterated_expansion",
-        "log_product_decomposition",
         "power_word_synthesis",
         "sum_word",
         "synthesis_divisors",

@@ -27,6 +27,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cache
+from math import isqrt
 from typing import Iterator, Mapping, Sequence
 
 from . import series
@@ -40,7 +41,6 @@ BracketPattern = tuple[int, ...]
 # a generator symbol, as AlgebraContext accepts it and basis_tree reads it
 _SYMBOL_RE = re.compile(r"[a-z][a-z0-9_]*")
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -188,22 +188,40 @@ def _basis_index(num_generators: int, step: int) -> dict:
     return {t: i for i, t in enumerate(_basis(num_generators, step))}
 
 
+def witt_counts(num_generators: int, step: int) -> Iterator[tuple[int, int]]:
+    """(k, number of basis elements of degree k) for k = 1..step, by Witt's
+    formula (1/k) sum_{d | k} mu(d) n^(k/d), one degree at a time and without
+    building the basis. The squarefree divisors d of k, each of sign
+    (-1)^(its prime count), come from a smallest-prime-factor sieve, and
+    power[d] is n^(k/d) kept as a running product: it gains a factor n at
+    each multiple k of d, so its size stays about k/d digits."""
+    n = num_generators
+    spf = list(range(step + 1))
+    for p in range(2, isqrt(step) + 1):
+        if spf[p] == p:
+            for q in range(p * p, step + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    power = [1] * (step + 1)
+    for k in range(1, step + 1):
+        divisors = [(1, 1)]
+        m = k
+        while m > 1:
+            p = spf[m]
+            while m % p == 0:
+                m //= p
+            divisors += [(d * p, -mu) for d, mu in divisors]
+        total = 0
+        for d, mu in divisors:
+            power[d] *= n
+            total += mu * power[d]
+        yield k, total // k
+
+
 def dimensions_by_degree(ctx: AlgebraContext) -> dict[int, int]:
-    """Degree -> number of basis elements of that degree, by Witt's formula
-    (1/k) sum_{d | k} mu(d) n^(k/d), without building the basis; degrees
-    with no elements are left out. Each squarefree d adds its term to each
-    multiple of d, once its proper divisors c have made mu(d) = -sum mu(c)."""
-    n, step = ctx.num_generators, ctx.step
-    mu, sums = [0, 1] + [0] * step, [0] * (step + 1)
-    for d in range(1, step + 1):
-        if mu[d]:
-            power = 1
-            for k in range(d, step + 1, d):
-                power *= n
-                sums[k] += mu[d] * power
-                if k > d:
-                    mu[k] -= mu[d]
-    return {k: total // k for k, total in enumerate(sums) if k and total}
+    """Degree -> number of basis elements of that degree, by Witt's formula;
+    degrees with no elements are left out."""
+    return {k: c for k, c in witt_counts(ctx.num_generators, ctx.step) if c}
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +415,6 @@ class LieElement:
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({tree_degree(t) for t in self.terms}))
 
-    def max_degree(self) -> int:
-        """Largest support degree, 0 for the zero element."""
-        return max((tree_degree(t) for t in self.terms), default=0)
-
     def min_degree(self) -> int:
         return min((tree_degree(t) for t in self.terms), default=0)
 
@@ -408,9 +422,6 @@ class LieElement:
         return LieElement._raw(
             self.ctx, {t: c for t, c in self.terms.items() if tree_degree(t) == d}
         )
-
-    def is_homogeneous(self, d: int) -> bool:
-        return all(tree_degree(t) == d for t in self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LieElement):
@@ -435,23 +446,6 @@ class LieElement:
 
     def __repr__(self) -> str:
         return f"LieElement({self})"
-
-    def coordinates(self, degree: int | None = None) -> list:
-        """Dense coordinate vector over the basis (optionally one degree)."""
-        basis = hall_basis(self.ctx)
-        if degree is not None:
-            basis = tuple(t for t in basis if tree_degree(t) == degree)
-        return [self.terms.get(t, _ZERO) for t in basis]
-
-
-def ad_power(a: LieElement, b: LieElement, k: int) -> LieElement:
-    """k-fold iterated bracket of a against b."""
-    if k < 0:
-        raise ValueError("ad power must be nonnegative")
-    out = b
-    for _ in range(k):
-        out = a.bracket(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,21 +76,21 @@ def _check_law_cap(num_generators: int, step: int, cap: int) -> None:
     For at most two generators from step 2 on, the Hall dimension is at most
     2^step (each Lyndon word of length k has k distinct rotations, so there
     are at most 2^k/k), and Witt's sum, with n^k for each k <= step, is skipped."""
-    from .algebra import AlgebraContext, dimensions_by_degree
+    from .algebra import AlgebraContext, witt_counts
 
-    ctx = AlgebraContext(num_generators, step)
+    AlgebraContext(num_generators, step)  # refuses a count or step below 1
     size = 2 ** (step + 1) - 4
     if num_generators > 2 or step < 2:
-        size = max(sum(dimensions_by_degree(ctx).values()), size)
+        size = max(sum(c for _, c in witt_counts(num_generators, step)), size)
     if size > cap:
         raise SizeCapError("bch law table", size, cap)
 
 
 def _cmd_hall(args) -> int:
-    from .algebra import AlgebraContext, dimensions_by_degree, hall_basis, tree_str
+    from .algebra import AlgebraContext, hall_basis, tree_str, witt_counts
 
     ctx = AlgebraContext(args.gens, args.step)
-    total = sum(dimensions_by_degree(ctx).values())
+    total = sum(c for _, c in witt_counts(args.gens, args.step))
     if total > args.cap:
         raise SizeCapError("hall basis", total, args.cap)
     words = [tree_str(t, ctx.symbols) for t in hall_basis(ctx)]

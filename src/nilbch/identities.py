@@ -1,4 +1,4 @@
-"""Word synthesis, expansion identities, and bracket extraction in the
+"""Word synthesis, commutator log tails, and bracket extraction in the
 truncated group.
 
 The central construction writes a target log, degree by degree, as the log of
@@ -63,39 +63,7 @@ EXACT = "exact"
 
 
 # ---------------------------------------------------------------------------
-# expansion tables
-
-def _expansion_defect(
-    num_factors: int, ctx: AlgebraContext
-) -> tuple[AlgebraContext, tuple[LieElement, ...], LieElement]:
-    """The first num_factors generators, in a context of their own when they
-    are fewer than all of ctx's, and their expansion defect: the log of their
-    product minus their sum."""
-    if not 1 <= num_factors <= ctx.num_generators:
-        raise GradingError(
-            f"factor count {num_factors} outside 1..{ctx.num_generators}"
-        )
-    sub = ctx
-    if num_factors != ctx.num_generators:
-        sub = AlgebraContext(num_factors, ctx.step, ctx.symbols[:num_factors])
-    gens = sub.generators()
-    total = gens[0]
-    for g in gens[1:]:
-        total = total + g
-    return sub, gens, multi_bch(gens) - total
-
-
-def iterated_expansion(num_factors: int, ctx: AlgebraContext) -> dict[int, dict]:
-    """Per-degree right-normed tables for the log of the product of the first
-    num_factors generators minus the sum of their logs.
-
-    Every degree 2..step is present; degrees with no defect map to empty
-    tables. Re-evaluating the patterns on the generators and adding the sum
-    of the logs reproduces the product log exactly.
-    """
-    _, _, defect = _expansion_defect(num_factors, ctx)
-    return {d: rightnormed_decomposition(defect, d) for d in range(2, ctx.step + 1)}
-
+# commutator log tails
 
 def commutator_log_tail(
     pattern: BracketPattern, ctx: AlgebraContext
@@ -124,65 +92,6 @@ def commutator_log_tail(
         if not comp.is_zero:
             out[d] = rightnormed_decomposition(comp)
     return out
-
-
-# ---------------------------------------------------------------------------
-# additive product-log decomposition
-
-class ProductDecomposition(Record):
-    """Additive clearing record: the sum of the generator logs equals the
-    product log plus sum of beta[i] * log(correction_words[i]) plus the tail,
-    whose support lies strictly above the cleared level."""
-
-    __slots__ = ("beta", "correction_words", "tail")
-
-
-def log_product_decomposition(
-    level: int, num_factors: int, ctx: AlgebraContext
-) -> ProductDecomposition:
-    """Write the sum of the generator logs as the product log plus rational
-    multiples of logs of integer commutator words, cleared through the given
-    degree level.
-
-    Correction words are products of nested generator commutators with
-    integer exponents, one word per degree 2..level (empty at degrees with no
-    defect); each beta is 1 over the lcm of the denominators its level has to
-    clear.
-    """
-    if not 1 <= level <= ctx.step:
-        raise GradingError(f"clearing level {level} outside 1..{ctx.step}")
-    sub, gens, defect = _expansion_defect(num_factors, ctx)
-    env = {s: group.exp(g) for s, g in zip(sub.symbols, gens)}
-    remaining = -defect
-    betas: list[Fraction] = []
-    words: list[FormalWord] = []
-    for degree in range(2, level + 1):
-        table = rightnormed_decomposition(remaining, degree)
-        if not table:
-            betas.append(Fraction(1))
-            words.append(FormalWord(()))
-            continue
-        beta = Fraction(1, lcm(*[c.denominator for c in table.values()]))
-        factors = []
-        for alpha in sorted(table):
-            m = table[alpha] / beta
-            if m.denominator != 1:
-                raise InternalInvariantError("level scale failed to clear denominators")
-            factors.append(
-                CommutatorFactor(
-                    _pattern_word(alpha[:1], sub.symbols),
-                    _pattern_word(alpha[1:], sub.symbols),
-                    int(m),
-                )
-            )
-        word = make_word(factors)
-        betas.append(beta)
-        words.append(word)
-        remaining = remaining - group.evaluate_word(word, env, sub).log * beta
-    min_deg = remaining.min_degree()
-    if min_deg and min_deg <= level:
-        raise InternalInvariantError("a cleared degree resurfaced in the tail")
-    return ProductDecomposition(tuple(betas), tuple(words), remaining)
 
 
 # ---------------------------------------------------------------------------

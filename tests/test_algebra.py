@@ -8,7 +8,6 @@ import pytest
 from nilbch.algebra import (
     AlgebraContext,
     LieElement,
-    ad_power,
     bracket_basis,
     basis_tree,
     bracket_coords,
@@ -23,7 +22,9 @@ from nilbch.algebra import (
     tree_degree,
     tree_foliage,
     tree_str,
+    witt_counts,
 )
+from nilbch.bch import multi_bch
 from nilbch.errors import ContextMismatchError, GradingError, InternalInvariantError
 from nilbch.group import exp, rational_power
 from nilbch.growth import scale_set
@@ -89,12 +90,16 @@ def test_witt_dimensions_match_the_enumerated_basis(letters):
 
 def test_witt_sieve_matches_the_divisor_loop():
     # the loop over every divisor of each degree, which the sieve replaced,
-    # is its oracle: the same dict, degrees in order, zero degrees left out
+    # is its oracle: every degree in order from the routine, and the same
+    # counts in the dict, zero degrees left out
     for letters in range(1, 7):
         for step in range(1, 41):
             want = [(k, witt_dimension(letters, k)) for k in range(1, step + 1)]
+            assert list(witt_counts(letters, step)) == want, (letters, step)
             got = dimensions_by_degree(AlgebraContext(letters, step))
             assert list(got.items()) == [(k, v) for k, v in want if v], (letters, step)
+    # through 210 = 2 * 3 * 5 * 7, the first degree with four distinct primes
+    assert list(witt_counts(3, 250)) == [(k, witt_dimension(3, k)) for k in range(1, 251)]
 
 
 def test_two_generator_dims_through_degree_five():
@@ -219,8 +224,8 @@ def test_bracket_grading():
     ctx = AlgebraContext(2, 5)
     x, y = ctx.generators()
     z = x.bracket(y)
-    assert z.is_homogeneous(2)
-    assert x.bracket(z).is_homogeneous(3)
+    assert z.degrees() == (2,)
+    assert x.bracket(z).degrees() == (3,)
     # degree > step truncates to zero
     deep = x
     for _ in range(5):
@@ -232,7 +237,7 @@ def test_scalar_arithmetic():
     ctx = AlgebraContext(2, 3)
     x, y = ctx.generators()
     z = x * Fraction(3, 2) - y / 2
-    assert z.coordinates(1) == [Fraction(3, 2), Fraction(-1, 2)]
+    assert z.terms == {0: Fraction(3, 2), 1: Fraction(-1, 2)}
     assert (z - z).is_zero
     assert (-z) + z == LieElement.zero(ctx)
     # coefficients are exact rationals; anything else is refused
@@ -287,13 +292,6 @@ def test_context_validation():
         AlgebraContext(2, 2, ("a",))
 
 
-def test_ad_power():
-    ctx = AlgebraContext(2, 4)
-    x, y = ctx.generators()
-    assert ad_power(x, y, 0) == y
-    assert ad_power(x, y, 2) == x.bracket(x.bracket(y))
-
-
 def test_eval_bracket_pattern_is_rightnormed():
     ctx = AlgebraContext(3, 4)
     g = ctx.generators()
@@ -308,18 +306,27 @@ def test_patterns_enumeration():
 
 def test_rightnormed_decomposition_roundtrip():
     rng = Random("algebra:rightnormed")
+    cases = []
     for letters in (2, 3):
         for step in range(2, 6 - letters):
             ctx = AlgebraContext(letters, step)
-            g = ctx.generators()
             for degree in range(2, step + 1):
-                x = random_element(ctx, rng).degree_component(degree)
-                table = rightnormed_decomposition(x)
-                back = LieElement.zero(ctx)
-                for alpha, c in table.items():
-                    assert len(alpha) == degree
-                    back = back + eval_bracket_pattern(alpha, g) * c
-                assert back == x
+                cases.append((random_element(ctx, rng).degree_component(degree), degree))
+    # every degree of the expansion defect multi_bch(gens) - sum(gens), the
+    # residual the synthesis clears degree by degree
+    for letters, step in ((3, 3), (2, 4), (3, 4)):
+        gens = AlgebraContext(letters, step).generators()
+        defect = multi_bch(gens)
+        for g in gens:
+            defect = defect - g
+        cases += [(defect.degree_component(d), d) for d in range(2, step + 1)]
+    for x, degree in cases:
+        table = rightnormed_decomposition(x)
+        back = LieElement.zero(x.ctx)
+        for alpha, c in table.items():
+            assert len(alpha) == degree
+            back = back + eval_bracket_pattern(alpha, x.ctx.generators()) * c
+        assert back == x
 
 
 def test_rightnormed_decomposition_degree_restriction():
@@ -345,5 +352,4 @@ def test_min_max_degree():
     x, y = ctx.generators()
     z = x + x.bracket(y)
     assert z.min_degree() == 1
-    assert z.max_degree() == 2
     assert LieElement.zero(ctx).min_degree() == 0

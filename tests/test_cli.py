@@ -552,6 +552,13 @@ def test_hall_refuses_past_the_cap_before_it_enumerates():
         'a 4397-digit number > cap 2000000","what":"hall basis",'
         '"size":"a 4397-digit number","cap":2000000}\n'
     )
+    code, out, err = run_cli(["hall", "--gens", "2", "--step", "20000"])
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building hall basis: '
+        'a 6017-digit number > cap 2000000","what":"hall basis",'
+        '"size":"a 6017-digit number","cap":2000000}\n'
+    )
     code, out, err = run_cli(["hall", "--gens", "2", "--step", "3", "--cap", "4"])
     assert (code, out) == (3, "")
     assert json.loads(err)["size"] == 5
@@ -601,8 +608,16 @@ def test_bch_and_extract_bracket_refuse_past_the_cap_before_any_work():
         'a 30104-digit number > cap 2000000","what":"bch law table",'
         '"size":"a 30104-digit number","cap":2000000}\n'
     )
-    # step 6: 124 law-table patterns against a Hall dimension of 23
+    # at three generators Witt's sum over every degree is the larger count
     logs = json.dumps([{"x1": "1"}, {"x2": "1"}])
+    code, out, err = run_cli(["extract-bracket", "--gens", "3", "--step", "20000"], stdin_text=logs)
+    assert (code, out) == (3, "")
+    assert err == (
+        '{"error":"size-cap","message":"size cap exceeded while building bch law table: '
+        'a 9539-digit number > cap 2000000","what":"bch law table",'
+        '"size":"a 9539-digit number","cap":2000000}\n'
+    )
+    # step 6: 124 law-table patterns against a Hall dimension of 23
     for argv in (["bch", "--step", "6"], ["extract-bracket", "--step", "6"]):
         t0 = time.perf_counter()
         proc = run_python(["-m", "nilbch", *argv, "--cap", "123"], input=logs, text=True, timeout=10)

@@ -1,4 +1,4 @@
-"""Expansion tables, product-log clearing, word synthesis, extraction."""
+"""Commutator log tails, word synthesis, extraction."""
 
 import importlib
 from fractions import Fraction
@@ -7,16 +7,14 @@ from random import Random
 import pytest
 
 from nilbch import algebra, group, identities
-from nilbch.algebra import AlgebraContext, LieElement, eval_bracket_pattern, patterns
-from nilbch.bch import bch, multi_bch
+from nilbch.algebra import AlgebraContext, LieElement
+from nilbch.bch import bch
 from nilbch.errors import DivisibilityError, GradingError
 from nilbch.identities import (
     EXACT,
     commutator_log_tail,
     containment_certificate,
     extract_bracket,
-    iterated_expansion,
-    log_product_decomposition,
     power_word_synthesis,
     sum_word,
     synthesis_divisors,
@@ -31,42 +29,7 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# expansion tables
-
-def test_iterated_expansion_single_factor_empty():
-    tables = iterated_expansion(1, AlgebraContext(2, 4))
-    assert set(tables) == {2, 3, 4}
-    assert all(t == {} for t in tables.values())
-
-
-def test_iterated_expansion_two_letter_example():
-    tables = iterated_expansion(2, AlgebraContext(2, 2))
-    assert tables == {2: {(1, 2): F(1, 2)}}
-
-
-def test_iterated_expansion_prefix_of_wider_context():
-    wide = AlgebraContext(3, 2)
-    tables = iterated_expansion(2, wide)
-    assert tables[2] == {(1, 2): F(1, 2)}
-
-
-def test_iterated_expansion_roundtrip_three_letters():
-    for letters, step in ((3, 3), (2, 4), (3, 4)):
-        ctx = AlgebraContext(letters, step)
-        gens = ctx.generators()
-        total = LieElement.zero(ctx)
-        for g in gens:
-            total = total + g
-        for table in iterated_expansion(letters, ctx).values():
-            for alpha, c in table.items():
-                total = total + eval_bracket_pattern(alpha, gens) * c
-        assert total == multi_bch(gens)
-
-
-def test_iterated_expansion_validates_factor_count():
-    with pytest.raises(GradingError):
-        iterated_expansion(3, AlgebraContext(2, 3))
-
+# commutator log tails
 
 def test_commutator_log_tail_leading_term_checked():
     ctx = AlgebraContext(2, 3)
@@ -83,53 +46,6 @@ def test_commutator_log_tail_support_above_arity():
 
 def test_commutator_log_tail_at_full_arity_is_empty():
     assert commutator_log_tail((1, 2, 2), AlgebraContext(2, 3)) == {}
-
-
-# ---------------------------------------------------------------------------
-# product-log decomposition
-
-def test_decomposition_level_one_is_pure_tail():
-    ctx = AlgebraContext(2, 2)
-    dec = log_product_decomposition(1, 2, ctx)
-    assert dec.beta == ()
-    assert dec.correction_words == ()
-    x, y = ctx.generators()
-    assert dec.tail == (x + y) - multi_bch((x, y))
-
-
-def test_decomposition_two_letter_step_two_example():
-    ctx = AlgebraContext(2, 2)
-    dec = log_product_decomposition(2, 2, ctx)
-    assert dec.beta == (F(1, 2),)
-    assert [serialize(w) for w in dec.correction_words] == ["c(x1, x2)^-1"]
-    assert dec.tail.is_zero
-
-
-def test_decomposition_full_level_tail_vanishes():
-    for letters, step in ((2, 3), (3, 2), (3, 3)):
-        ctx = AlgebraContext(letters, step)
-        dec = log_product_decomposition(step, letters, ctx)
-        assert dec.tail.is_zero
-
-
-def test_decomposition_identity_holds():
-    # sum of logs == product log + sum beta_i * log(word_i) + tail
-    for letters, step, level in ((2, 3, 2), (2, 4, 3), (3, 3, 2)):
-        ctx = AlgebraContext(letters, step)
-        gens = ctx.generators()
-        env = {s: group.exp(g) for s, g in zip(ctx.symbols, gens)}
-        dec = log_product_decomposition(level, letters, ctx)
-        total = multi_bch(gens)
-        for beta, w in zip(dec.beta, dec.correction_words):
-            if w.factors:
-                total = total + group.evaluate_word(w, env, ctx).log * beta
-        total = total + dec.tail
-        expected = LieElement.zero(ctx)
-        for g in gens:
-            expected = expected + g
-        assert total == expected
-        if not dec.tail.is_zero:
-            assert dec.tail.min_degree() > level
 
 
 # ---------------------------------------------------------------------------
