@@ -12,19 +12,22 @@ rebuilds the full d x d form. All arithmetic on bare triangles lives in one
 cached namespace per dimension, `triangles(d)`: each function here checks
 its operands, makes one call there and wraps the result, and the growth lab
 and word evaluation (`matrix_group_ops`) call it directly. Every kernel
-compiled there is straight-line code, none with a division by an entry.
+compiled there is straight-line code (power's after one branch on its
+operand), none with a division by an entry.
 The products over i < k < j, x + y + xy (mul) and xy - yx (bracket), are
 each one tuple display built from the triangle's index pairs; the inverse
 solves y = -x - xy from the bottom row up; the power (I + x)^k is the
-binomial series sum C(k, j) x^j over j < d, a polynomial in k, by Horner's
-rule, so any k, negative or large, takes d - 2 steps; the commutator
-gh(hg)^-1 is one right division, solved row by row from the left. exp and
-log are truncated series with no product kernel under them: the entries'
-common denominator and the coefficients' denominators are cleared, Horner's
-rule runs unrolled in ints with the cleared coefficients as int literals
-(`exp_num`, `log_num`), and each entry is divided once at the end; the
-growth lab keeps logs as int numerators over D = lcm(1..d-1) in UT(d, Z)
-(`log_num`) and bracket level j over D^(j+1).
+binomial series sum C(k, j) x^j, a polynomial in k, by Horner's rule, so
+any k, negative or large, takes a fixed number of steps, graded by x: when
+superdiagonal l is the first nonzero one, x^j = 0 once j l >= d, so
+(d - 1) // l levels run and no entry below superdiagonal l is read; the
+commutator gh(hg)^-1 is one right division, solved row by row from the
+left. exp and log are truncated series with no product kernel under them:
+the entries' common denominator and the coefficients' denominators are
+cleared, Horner's rule runs unrolled in ints with the cleared coefficients
+as int literals (`exp_num`, `log_num`), and each entry is divided once at
+the end; the growth lab keeps logs as int numerators over D = lcm(1..d-1)
+in UT(d, Z) (`log_num`) and bracket level j over D^(j+1).
 
 Entries are ints where integral and Fractions otherwise. The kernels do
 arithmetic only, under which int triangles stay ints, so UT(d, Z) never
@@ -144,16 +147,19 @@ def triangles(d: int) -> _Triangles:
     mul(x, y) = x + y + xy is the product of I + x and I + y, bracket(x, y)
     = xy - yx, inverse(x) gives (I + x)^-1, power(x, k) (I + x)^k for any
     integer k (read through operator.index, so a float or a Fraction is a
-    TypeError) and commutator(x, y) gh(hg)^-1 for g = I + x and h = I + y,
-    each as its triangle. log(x) reads x as I + x and exp(x) x as nilpotent;
-    both are truncated series, undivided in log_num(x, den) and
+    TypeError; graded by the first superdiagonal l holding a nonzero entry
+    of x, on which it runs (d - 1) // l Horner levels, and the zero triangle
+    returned as it is) and commutator(x, y) gh(hg)^-1 for g = I + x and
+    h = I + y, each as its triangle. log(x) reads x as I + x and exp(x) x as
+    nilpotent; both are truncated series, undivided in log_num(x, den) and
     exp_num(x, den): x as int numerators over den in, int numerators over
     one denominator out, as (numerators, denominator). The seven compiled
-    kernels (all but exp and log) are straight-line code, arithmetic only,
-    with no division by an entry: int triangles stay ints, and from
-    Fractions an integral entry may stay a Fraction until `mat_inverse`,
-    `mat_power` or the leave of `matrix_group_ops` makes it an int; exp and
-    log divide each entry of exp_num and log_num once.
+    kernels (all but exp and log) are straight-line code (power's after
+    one branch on x), arithmetic only, with no division by an entry: int
+    triangles stay ints, and from Fractions an integral entry may stay a
+    Fraction until `mat_inverse`, `mat_power` or the leave of
+    `matrix_group_ops` makes it an int; exp and log divide each entry of
+    exp_num and log_num once.
     """
     if d < 0:
         raise ValueError(f"matrix dimension {d} is negative")
@@ -177,9 +183,28 @@ def _kernel(name: str, space: _Triangles):
     pairs = _pairs(d)
     n = len(pairs)
     row = [i for i in range(d) for _ in range(i + 1, d)]
+    diagonal = [j - i for i in range(d) for j in range(i + 1, d)]  # its superdiagonal
 
     def xy(t, term="x{p} * y{q}"):  # the terms over i < k < j at position t
         return [term.format(p=p, q=q) for p, q in pairs[t]]
+
+    def horner(levels, l=1, indent="    "):
+        # a = c_J x, then a = c_j x + x a for j = J - 1 .. 1, on an x zero on
+        # the superdiagonals below l: x a then reads x and a only from
+        # superdiagonal l up, and entry (i, m) of x a reads a only in rows
+        # below i by at least l, so level j is read only from row (j - 1) l
+        # down; at l = 1 every term is kept
+        def xa(j, t):
+            return "".join(
+                f" + x{p} * a{j + 1}_{q}" for p, q in pairs[t] if diagonal[p] >= l and diagonal[q] >= l
+            )
+
+        return "".join(
+            f"{indent}a{j}_{t} = c{j} * x{t}{xa(j, t)}\n"
+            for j in reversed(range(1, levels + 1))
+            for t in range(n)
+            if row[t] >= (j - 1) * l and diagonal[t] >= l
+        )
 
     def bracket(t):
         return " + ".join(xy(t, "x{p} * y{q} - y{p} * x{q}")) or "0"
@@ -199,38 +224,33 @@ def _kernel(name: str, space: _Triangles):
         ) + display(f"y{t}" for t in range(n))
     elif name == "power":
         # (I + x)^k is the sum of c_j x^j over j < d with c_j = C(k, j), exact
-        # in ints for every integer k since c_(j-1) (k - j + 1) = j c_j. By
-        # Horner's rule a = c_(d-1) x, then a = c_j x + x a for j = d - 2 .. 1.
-        # Entry (i, l) of x a reads a only in rows below i, so level j is read
-        # only from row j - 1 down
-        params, body = "x, k", "    c1 = k = _index(k)\n" + "".join(
-            f"    c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, d)
-        ) + "".join(
-            f"    a{j}_{t} = c{j} * x{t}"
-            f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
-            for j in reversed(range(1, d))
-            for t in range(n)
-            if row[t] >= j - 1
-        ) + display(f"a1_{t}" for t in range(n))
+        # in ints for every integer k since c_(j-1) (k - j + 1) = j c_j. When
+        # superdiagonal l is the first that holds a nonzero entry, x^j = 0 for
+        # j l >= d, so Horner's rule runs J = (d - 1) // l levels and the
+        # entries below superdiagonal l stay 0; the zero triangle is x itself
+        graded = []
+        for l in range(1, d):
+            levels = (d - 1) // l
+            graded.append(
+                f"    if {' or '.join(f'x{t}' for t in range(n) if diagonal[t] == l)}:\n"
+                + "".join(f"        c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, levels + 1))
+                + horner(levels, l, "        ")
+                + "    " + display(f"a1_{t}" if diagonal[t] >= l else "0" for t in range(n))
+            )
+        params, body = "x, k", "    c1 = k = _index(k)\n" + "".join(graded) + "    return x\n"
     elif name in _SERIES:
         # the sum of c_k N^k over 0 < k < d, N = x / den, with the c_k cleared
         # to ints a_k over L: S / (L den^(d-1)) where, by Horner's rule,
         # S = x (a_1 den^(d-2) + x (a_2 den^(d-3) + ... + x a_(d-1))), so
-        # level j is a_j den^(d-1-j) x + x a, read only from row j - 1 down
-        # as in power; the compiler folds the products by a literal 1
+        # level j is a_j den^(d-1-j) x + x a, all d - 1 levels at l = 1 as in
+        # power; the compiler folds the products by a literal 1
         a, lcd = cleared([_SERIES[name](k) for k in range(1, d)])
         den_to = ["1", "den", *[f"e{i}" for i in range(2, d)]]  # den^i
         params, body = "x, den", "".join(
             f"    e{i} = {den_to[i - 1]} * den\n" for i in range(2, d)
         ) + "".join(
             f"    c{j} = {a[j - 1]} * {den_to[d - 1 - j]}\n" for j in range(1, d)
-        ) + "".join(
-            f"    a{j}_{t} = c{j} * x{t}"
-            f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
-            for j in reversed(range(1, d))
-            for t in range(n)
-            if row[t] >= j - 1
-        ) + display((f"a1_{t}" for t in range(n)), f", {lcd} * {den_to[max(d - 1, 0)]}")
+        ) + horner(d - 1) + display((f"a1_{t}" for t in range(n)), f", {lcd} * {den_to[max(d - 1, 0)]}")
     else:
         # gh(hg)^-1 = (I + p)(I + q)^-1 = I + z with p = x + y + xy and
         # q = x + y + yx, one right division: z + q + zq = p, so
@@ -423,7 +443,8 @@ def matrix_group_ops(d: int):
     tri, one = triangles(d), mat_identity(d)
 
     def enter(m: UnipotentMatrix) -> Tri:
-        _dim(UnipotentMatrix, one, m)
+        if type(m) is not UnipotentMatrix or m.dim != d:
+            _dim(UnipotentMatrix, one, m)  # raises the error mat_mul would
         return m.tri
 
     leave = partial(_unipotent, d)

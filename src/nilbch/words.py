@@ -14,10 +14,12 @@ Grammar (whitespace separates factors and is otherwise insignificant):
 not expressible, so parsed words never contain trivial factors; parsing also
 merges adjacent equal atoms, making parse-then-serialize a canonical form.
 
-Evaluation compiles a word once, on first use, into a flat straight-line
-program. Each distinct subword is evaluated once per call, so a
-realization's operations must be pure, and power is never called at
-exponent 1.
+Evaluation compiles a word once, on first use, into one Python function,
+one line per distinct subword, kept on the word. Each distinct subword is
+evaluated once per call, so a realization's operations must be pure, and
+power is never called at exponent 1. The function binds no realization:
+the operations are read from `GroupOps` on every call and passed to it, so
+one compiled word serves every realization.
 """
 
 from __future__ import annotations
@@ -232,7 +234,9 @@ def parse(text: str) -> FormalWord:
 
 class GroupOps:
     """The operations needed to evaluate a word in some group realization:
-    plain slots, read directly by `evaluate_word` on every call.
+    plain slots, read by `evaluate_word` on every call and passed to the
+    word's compiled function, so replacing a slot (a counting wrapper, say)
+    takes effect on the next call.
 
     power(g, k) is the realization's own integer power, inverses included,
     and commutator(g, h) its own g h g^-1 h^-1. A realization on another representation (matrix
@@ -273,23 +277,24 @@ _set_program = FormalWord._program.__set__
 def evaluate_word(word: FormalWord, env: dict, ops: GroupOps):
     """Evaluate a word over an environment mapping symbols to group values.
 
-    The word is compiled on first use into a straight-line program, kept on
-    the word, that evaluates each distinct subword and each distinct power
-    once and calls no power at exponent 1."""
+    The word is compiled on first use into one Python function, kept on the
+    word, that evaluates each distinct subword and each distinct power once
+    and calls no power at exponent 1. The function binds no realization:
+    the operations are read from ops on every call and passed to it."""
     try:
-        program = word._program
+        run = word._program
     except AttributeError:
-        program = _compile(word)
-        _set_program(word, program)
+        run = _function(*_compile(word))
+        _set_program(word, run)
     if ops.enter is None:
-        return _run(program, env, ops)
+        return run(env, ops.mul, ops._power, ops.commutator, ops.identity)
     env = {name: ops.enter(g) for name, g in env.items()}
-    return ops.leave(_run(program, env, ops))
+    return ops.leave(run(env, ops.mul, ops._power, ops.commutator, ops.identity))
 
 
 def _compile(word: FormalWord) -> tuple:
-    """The steps (kind, x, y) that evaluate `word`, each appending one value
-    to a register list, and the register of the word's value.
+    """The steps (kind, x, y) that evaluate `word`, each giving one value a
+    register of its own, and the register of the word's value.
 
     A step is emitted once and its register reused wherever the same step
     recurs, so equal subwords share one register; the keys are steps over
@@ -324,25 +329,39 @@ def _compile(word: FormalWord) -> tuple:
     return tuple(steps), result
 
 
-def _run(program: tuple, env: dict, ops: GroupOps):
-    steps, result = program
-    mul, power, commutator = ops.mul, ops._power, ops.commutator
-    values: list = []
-    push = values.append
-    for kind, x, y in steps:
+def _unbound(name):
+    raise UnboundSymbolError(name)
+
+
+def _function(steps: tuple, result: int) -> Callable:
+    """The steps as one Python function of (env, mul, power, commutator,
+    identity), one line per step, register i held in v<i>. Each symbol name
+    and exponent is bound in the function's namespace as it is, so any value
+    a word holds passes to the realization unchanged."""
+    namespace: dict = {"_unbound": _unbound}
+
+    def constant(value) -> str:
+        name = f"k{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    lines = []
+    for i, (kind, x, y) in enumerate(steps):
         if kind == _MUL:
-            push(mul(values[x], values[y]))
+            value = f"mul(v{x}, v{y})"
         elif kind == _COMMUTATOR:
-            push(commutator(values[x], values[y]))
+            value = f"commutator(v{x}, v{y})"
         elif kind == _POWER:
-            push(power(values[x], y))
+            value = f"power(v{x}, {constant(y)})"
         elif kind == _SYMBOL:
-            if x not in env:
-                raise UnboundSymbolError(x)
-            push(env[x])
+            name = constant(x)
+            value = f"env[{name}] if {name} in env else _unbound({name})"
         else:
-            push(ops.identity)
-    return values[result]
+            value = "identity"
+        lines.append(f"    v{i} = {value}\n")
+    source = f"def word(env, mul, power, commutator, identity):\n{''.join(lines)}    return v{result}\n"
+    exec(compile(source, "<word>", "exec"), namespace)
+    return namespace["word"]
 
 
 def random_word(rng, symbols: tuple[str, ...], max_factors: int = 5, depth: int = 2) -> FormalWord:

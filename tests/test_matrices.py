@@ -3,7 +3,7 @@
 import ast
 from fractions import Fraction
 from math import factorial, prod
-from operator import add
+from operator import add, index
 from pathlib import Path
 from random import Random
 
@@ -547,6 +547,59 @@ def test_generated_kernels_and_integer_series_match_references(kind):
                 assert typed(mat_power(env["a"], k).tri) == typed(want)
                 if k:  # a word has no exponent 0
                     assert typed(words.evaluate_word(powers[k], env, ops).tri) == typed(want)
+
+
+def ungraded_power(d):
+    """The power kernel before it was graded by its operand: Horner's rule
+    over all d - 1 levels for every triangle, generated as it was."""
+    pairs = _pairs(d)
+    n = len(pairs)
+    row = [i for i in range(d) for _ in range(i + 1, d)]
+    unpack = f"    {''.join(f'x{t}, ' for t in range(n))}= x\n" if n else ""
+    body = "    c1 = k = _index(k)\n" + "".join(
+        f"    c{j} = c{j - 1} * (k - {j - 1}) // {j}\n" for j in range(2, d)
+    ) + "".join(
+        f"    a{j}_{t} = c{j} * x{t}"
+        f"{''.join(f' + x{p} * a{j + 1}_{q}' for p, q in pairs[t])}\n"
+        for j in reversed(range(1, d))
+        for t in range(n)
+        if row[t] >= j - 1
+    ) + f"    return ({''.join(f'a1_{t}, ' for t in range(n))})\n"
+    namespace = {"_index": index}
+    exec(f"def power(x, k):\n{unpack}{body}", namespace)
+    return namespace["power"]
+
+
+def first_nonzero_at(d, l, kind, rng):
+    """A triangle zero below superdiagonal l, with a nonzero entry on it;
+    of ints, or of Fractions down to its zeros."""
+    entry = (lambda v: v) if kind == "int" else (lambda v: F(v, rng.choice((1, 2, 3))))
+    diagonal = [j - i for i in range(d) for j in range(i + 1, d)]
+    x = [entry(rng.randint(-3, 3)) if s >= l else entry(0) for s in diagonal]
+    x[rng.choice([t for t, s in enumerate(diagonal) if s == l])] = entry(rng.choice((-2, -1, 1, 2)))
+    return tuple(x)
+
+
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_graded_power_matches_the_ungraded_kernel(kind):
+    # power runs (d - 1) // l Horner levels on a triangle whose first nonzero
+    # superdiagonal is l and returns the zero triangle itself; the kernel
+    # that always ran d - 1 levels is its oracle
+    rng = Random(f"matrices:graded-power:{kind}")
+    for d in range(9):
+        graded, reference = triangles(d).power, ungraded_power(d)
+        zero = triangles(d).zero if kind == "int" else tuple(map(F, triangles(d).zero))
+        operands = [zero] + [first_nonzero_at(d, l, kind, rng) for l in range(1, d) for _ in range(3)]
+        assert graded(zero, 46176) is zero
+        for x in operands:
+            for k in (0, 1, -1, 2, -2, 24, 46176, -(10**12), 10**30):
+                got = graded(x, k)
+                assert got == reference(x, k)
+                if kind == "int":
+                    assert {type(v) for v in got} <= {int}
+            for k in (2.0, F(1, 2)):
+                with pytest.raises(TypeError):
+                    graded(x, k)
 
 
 @pytest.mark.parametrize("kind", ["int", "rational", "mixed", "big"])

@@ -278,6 +278,30 @@ def test_sum_word_operation_counts(step, compiled, recursive):
         assert tuple(counts.values()) == want
 
 
+def test_a_compiled_word_binds_no_realization():
+    # one word object, compiled on its first evaluation over group elements,
+    # then evaluated on matrix triangles and on a counting realization: the
+    # ops are read on every call, so each realization runs its own
+    word = parse(str(sum_word(3).word))
+    assert not hasattr(word, "_program")  # a fresh object, not yet compiled
+    ctx = AlgebraContext(2, 3)
+    env = {"a": group.exp(ctx.generator(0)), "b": group.exp(ctx.generator(1))}
+    assert group.evaluate_word(word, env) == recursive_evaluate(word, env, group.group_ops(ctx))
+    rng = Random("words:realizations")
+    env = {"a": random_unipotent(4, rng), "b": random_unipotent(4, rng)}
+    want = recursive_evaluate(word, env, matrix_group_ops(4))
+    assert evaluate_word(word, env, matrix_group_ops(4)) == want
+    counts = dict.fromkeys(("_power", "mul", "commutator"), 0)
+    assert evaluate_word(word, env, _counted(matrix_group_ops(4), counts)) == want
+    assert tuple(counts.values()) == (5, 4, 4)
+    # an unbound symbol is reported where the walk meets it: after the power
+    # and the product before it have run
+    counts = dict.fromkeys(counts, 0)
+    with pytest.raises(UnboundSymbolError):
+        evaluate_word(parse("a^2 b z"), env, _counted(matrix_group_ops(4), counts))
+    assert tuple(counts.values()) == (1, 1, 0)
+
+
 def test_an_evaluated_word_is_still_its_text():
     # the compiled program is kept on the word but is not one of its fields
     ops = matrix_group_ops(3)
