@@ -424,15 +424,15 @@ def substitute(
     return acc
 
 
-def random_nilpotent(d: int, rng, denominators: tuple[int, ...] = (1, 2)) -> NilpotentMatrix:
-    """Random strictly upper-triangular matrix with small rational entries."""
-    tri = [_entry(Fraction(rng.randint(-2, 2), rng.choice(denominators))) for _ in triangles(d).zero]
+def random_nilpotent(d: int, rng) -> NilpotentMatrix:
+    """Random strictly upper-triangular matrix with entries k/q, k in -2..2, q in {1, 2}."""
+    tri = [_entry(Fraction(rng.randint(-2, 2), rng.choice((1, 2)))) for _ in triangles(d).zero]
     return NilpotentMatrix._raw(d, tuple(tri))
 
 
-def random_unipotent(d: int, rng, entry_range: int = 2) -> UnipotentMatrix:
-    """Random unipotent matrix with small integer entries above the diagonal."""
-    tri = [rng.randint(-entry_range, entry_range) for _ in triangles(d).zero]
+def random_unipotent(d: int, rng) -> UnipotentMatrix:
+    """Random unipotent matrix with entries in -2..2 above the diagonal."""
+    tri = [rng.randint(-2, 2) for _ in triangles(d).zero]
     return UnipotentMatrix._raw(d, tuple(tri))
 
 

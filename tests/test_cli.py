@@ -1,37 +1,21 @@
 """CLI contract: frozen outputs, exit codes, schemas, determinism."""
 
-import hashlib
 import io
 import json
-import os
-import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-import nilbch
 from nilbch.cli import main
+from pins import ENV, ROOT, SOURCE, check, readme_commands, readme_row
 
-ROOT = Path(__file__).resolve().parent.parent
 SCHEMAS = ROOT / "docs" / "schemas"
 PYPROJECT = ROOT / "pyproject.toml"
-DATA = Path(__file__).resolve().parent / "data"
-
-# subprocesses import the nilbch under test, whatever the working directory
-# or any installed copy
-SOURCE_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(Path(nilbch.__file__).resolve().parent.parent),
-                      os.environ.get("PYTHONPATH")])
-    ),
-}
 
 
 def run_cli(argv, stdin_text: str | None = None):
@@ -49,7 +33,7 @@ def run_cli(argv, stdin_text: str | None = None):
 
 def run_python(args, **kwargs):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, env=SOURCE_ENV, **kwargs
+        [sys.executable, *args], capture_output=True, env=ENV, **kwargs
     )
 
 
@@ -243,15 +227,6 @@ def test_growth_report_and_schema():
     assert "timing" in err  # timing only on stderr
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
-def test_growth_stdout_matches_golden_bytes(radius):
-    # tests/data/growth_ut3_rR.json is this command's stdout, recorded byte
-    # for byte: a faster route to the report must print the same bytes
-    proc = run_python(["-m", "nilbch", "growth", "--dim", "3", "--radius", str(radius)])
-    assert proc.returncode == 0
-    assert proc.stdout == (DATA / f"growth_ut3_r{radius}.json").read_bytes()
-
-
 @pytest.mark.parametrize(
     "argv, size",
     [
@@ -273,76 +248,11 @@ def test_growth_size_cap_stderr_is_pinned(argv, size):
     )
 
 
-def readme_commands() -> list:
-    """(golden file name, argv, stdin) for each command of the README's
-    "Command line" block, verify-identities at 10 trials instead of 100."""
-    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
-    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
-    out = []
-    for i, line in enumerate(block.splitlines(), start=1):
-        words = shlex.split(line, comments=True)
-        stdin = ""
-        if "|" in words:
-            # echo '...' | nilbch ...
-            stdin, words = words[1] + "\n", words[words.index("|") + 1 :]
-        argv = words[1:]
-        if "--trials" in argv:
-            argv[argv.index("--trials") + 1] = "10"
-        out.append((f"readme_{i}_{argv[0]}.json", argv, stdin))
-    return out
-
-
-def assert_golden_stdout(name, argv, stdin=""):
-    """The command exits 0 and prints the bytes of tests/data/<name>."""
-    proc = run_python(["-m", "nilbch", *argv], input=stdin.encode())
-    assert proc.returncode == 0
-    assert proc.stdout == (DATA / name).read_bytes()
-
-
 @pytest.mark.parametrize("name, argv, stdin", readme_commands())
 def test_readme_commands_match_golden_bytes(name, argv, stdin):
     # tests/data/readme_*.json hold each README command's stdout, recorded
     # byte for byte
-    assert_golden_stdout(name, argv, stdin)
-
-
-# stdout that passes through the law table, the tail table, the expansion
-# defect and the synthesis, recorded byte for byte
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        *((f"bch_s{n}_degree_table.json", ["bch", "--step", str(n), "--degree-table"])
-          for n in range(1, 7)),
-        ("bch_s6.json", ["bch", "--step", "6"]),
-        ("bch_s3_degree_table.txt", ["bch", "--step", "3", "--degree-table", "--format", "text"]),
-        ("verify_identities_s5_t5.json", ["verify-identities", "--step", "5", "--trials", "5"]),
-        ("synth_sum_s4.json", ["synth-sum", "--step", "4"]),
-        ("synth_power_s4_g3_l4_t24.json",
-         ["synth-power", "--step", "4", "--gens", "3", "--level", "4", "--T", "24"]),
-        ("synth_sum_s5.json", ["synth-sum", "--step", "5"]),
-        ("synth_sum_s6.json", ["synth-sum", "--step", "6"]),
-        ("synth_power_s5_g3_l5_t720.json",
-         ["synth-power", "--step", "5", "--gens", "3", "--level", "5", "--T", "720"]),
-        ("synth_power_s5_g2_l3_t720.json",
-         ["synth-power", "--step", "5", "--gens", "2", "--level", "3", "--T", "720"]),
-        ("synth_power_s5_g3_l4_tm720.json",
-         ["synth-power", "--step", "5", "--gens", "3", "--level", "4", "--T", "-720"]),
-        ("synth_power_s6_g3_l6_t1440.json",
-         ["synth-power", "--step", "6", "--gens", "3", "--level", "6", "--T", "1440"]),
-    ],
-)
-def test_engine_commands_match_golden_bytes(name, argv):
-    assert_golden_stdout(name, argv)
-
-
-def test_bch_step_ten_matches_its_digest():
-    # the step-10 law table runs the right-normed solver up to arity 10; its
-    # stdout is pinned by digest rather than as a golden file
-    code, out, _ = run_cli(["bch", "--step", "10"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9c3d75470f046bbc3b21ec70e56d9130a505b2b9f413a9977c4f1d5245b0d4db"
-    )
+    check(readme_row(name, argv, stdin), SOURCE)
 
 
 def test_readme_python_blocks_run():
@@ -624,7 +534,6 @@ def test_bch_and_extract_bracket_refuse_past_the_cap_before_any_work():
         assert time.perf_counter() - t0 < 1.0
         assert (proc.returncode, proc.stdout) == (3, "")
         assert json.loads(proc.stderr)["size"] == 124
-    assert_golden_stdout("bch_s6.json", ["bch", "--step", "6", "--cap", "124"])
     code, out, _ = run_cli(["extract-bracket", "--step", "6", "--cap", "124"], stdin_text=logs)
     assert (code, out) == (0, '{"[x1,x2]":"1"}\n')
     # at three generators the Hall dimension is the larger count: 3 + 3 + 8
